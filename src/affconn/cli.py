@@ -115,6 +115,8 @@ def _expect_dict(obj, where: str) -> dict:
 def _number(obj, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SchemaError(f"{where}: expected a number")
+    if not math.isfinite(obj):
+        raise SchemaError(f"{where}: expected a finite number")
     return float(obj)
 
 
@@ -448,10 +450,9 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
     )
     r_formula, _ = curvature_formula(frame, corrupt=corruption)
     r_direct = curvature_direct(chart, metric, spec, pts, corrupt=corruption)
-    antisym = max(
-        norm_residual(r_formula, -r_formula.swapaxes(2, 3)),
-        norm_residual(r_direct, -r_direct.swapaxes(2, 3)),
-    )
+    # np.max, unlike max(), keeps a NaN residual
+    antisym = float(np.max([norm_residual(r_formula, -r_formula.swapaxes(2, 3)),
+                            norm_residual(r_direct, -r_direct.swapaxes(2, 3))]))
 
     tols = config.tolerances
     rows = [
@@ -604,6 +605,8 @@ def _load_config(path: str, tolerance: float | None, output_flag: str | None) ->
         text = fh.read()
     config = parse_config(text)
     if tolerance is not None:
+        if not math.isfinite(tolerance):
+            raise SchemaError("--tolerance: expected a finite number")
         if not tolerance > 0:
             raise SchemaError("--tolerance: expected a positive number")
         config.tolerances = {name: tolerance for name in config.tolerances}

@@ -134,15 +134,14 @@ class ConnectionSpec:
 
 
 def max_abs(*arrays) -> float:
-    out = 0.0
-    for a in arrays:
-        if a.size:
-            out = max(out, float(np.max(np.abs(a))))
-    return out
+    """Largest |entry| over ``arrays`` (0.0 if all are empty).  NaN anywhere
+    gives NaN, so a residual built from it never passes ``res <= tol``."""
+    return float(np.max([np.max(np.abs(a)) for a in arrays if a.size], initial=0.0))
 
 
 def norm_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """max|a - b| / max(1, max|a|, max|b|)."""
+    """max|a - b| / max(1, max|a|, max|b|); non-finite if a or b holds NaN
+    or inf."""
     return max_abs(a - b) / max(1.0, max_abs(a, b))
 
 

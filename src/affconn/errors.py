@@ -51,7 +51,3 @@ class ExtraBinding(AffconnError):
 
 class CaseUnknown(AffconnError):
     """No connection case registered under that id."""
-
-
-# The CLI layer historically referred to this one by the flipped name.
-UnknownCase = CaseUnknown

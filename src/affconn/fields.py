@@ -19,6 +19,7 @@ Array layout conventions (shared by the whole package):
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,26 +183,9 @@ class PolynomialExpr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def eval(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        if pts.shape[1] != self.n:
-            raise DimensionMismatch(
-                f"polynomial in {self.n} variables evaluated at points of "
-                f"dimension {pts.shape[1]}"
-            )
-        if not self.terms:
-            out = np.zeros(pts.shape[0])
-        else:
-            mono = np.prod(pts[:, None, :] ** self._exps[None, :, :], axis=2)
-            out = mono @ self._coeffs
-        return out[0] if single else out
+        out = _eval_polynomials([self], as_points(pts, self.n))[:, 0]
+        return out[0] if np.ndim(pts) == 1 else out
 
     def deriv(self, i: int) -> "PolynomialExpr":
         if not 0 <= i < self.n:
@@ -271,12 +255,40 @@ class PolynomialExpr:
         return f"PolynomialExpr({self.n}, {bits})"
 
 
+def _eval_polynomials(exprs, pts: np.ndarray) -> np.ndarray:
+    """The polynomials ``exprs`` at an (m, n) batch, as (m, len(exprs)) columns.
+
+    Their coefficients fill one matrix over the sorted union of their
+    monomials, the monomials come from one power table ``x_i^k``, and one
+    matmul gives every column.  Polynomials with equal terms share a matrix
+    column, so they evaluate bit-identically.
+    """
+    m, n = pts.shape
+    keys = [e._exps.tobytes() + e._coeffs.tobytes() for e in exprs]
+    distinct = dict(zip(keys, exprs))
+    basis = sorted({mono for e in distinct.values() for mono in e.terms})
+    if not basis:
+        return np.zeros((m, len(exprs)))
+    row = {mono: r for r, mono in enumerate(basis)}
+    coeffs = np.zeros((len(basis), len(distinct)))
+    for c, e in enumerate(distinct.values()):
+        coeffs[[row[mono] for mono in e.terms], c] = e._coeffs
+    # the power table holds only the exponents that occur
+    levels, level = np.unique(basis, return_inverse=True)
+    power = pts[:, :, None] ** levels
+    mono = np.prod(power[:, np.arange(n), level.reshape(len(basis), n)], axis=2)
+    col = {key: c for c, key in enumerate(distinct)}
+    return (mono @ coeffs)[:, [col[key] for key in keys]]
+
+
 def poly_from_json(n: int, obj, where: str = "polynomial") -> PolynomialExpr:
     """Parse ``{"terms": [{"c": coeff, "e": [exponents]}]}``; bare numbers
     are accepted as constants."""
     if isinstance(obj, bool):
         raise SchemaError(f"{where}: expected a polynomial, got a boolean")
     if isinstance(obj, (int, float)):
+        if not math.isfinite(obj):
+            raise SchemaError(f"{where}: expected a finite number")
         return PolynomialExpr.constant(n, obj)
     if not isinstance(obj, dict) or set(obj) != {"terms"}:
         raise SchemaError(f"{where}: expected a number or {{'terms': [...]}}")
@@ -288,8 +300,8 @@ def poly_from_json(n: int, obj, where: str = "polynomial") -> PolynomialExpr:
         if not isinstance(t, dict) or set(t) != {"c", "e"}:
             raise SchemaError(f"{where}.terms[{idx}]: expected {{'c': num, 'e': [ints]}}")
         c, e = t["c"], t["e"]
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise SchemaError(f"{where}.terms[{idx}].c: expected a number")
+        if isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c):
+            raise SchemaError(f"{where}.terms[{idx}].c: expected a finite number")
         if (
             not isinstance(e, list)
             or len(e) != n
@@ -346,6 +358,28 @@ class PointJets:
     fields: dict
 
 
+def _poly_jets(comps, shape: tuple, order: int, pts: np.ndarray) -> list:
+    """Partials of rank 0..``order`` of the components ``comps`` (C order of
+    ``shape``): rank r is (m, n^r, *shape), slot (k_1..k_r, *idx) = d_k1..d_kr
+    comps[idx].  Slots differentiate along the sorted multi-index, so permuted
+    slots name one polynomial and read one column: mixed partials commute and
+    a symmetric grid stays symmetric, bit for bit."""
+    m, n = pts.shape
+    exprs = []
+    for rank in range(order + 1):
+        for multi in itertools.product(range(n), repeat=rank):
+            for expr in comps:
+                for k in sorted(multi):
+                    expr = expr.deriv(k)
+                exprs.append(expr)
+    vals = _eval_polynomials(exprs, pts)
+    ends = np.cumsum([n**rank * len(comps) for rank in range(order)])
+    return [
+        v.reshape((m,) + (n,) * rank + shape)
+        for rank, v in enumerate(np.split(vals, ends, axis=1))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Field objects.  Each has .n, .kind and a jet(...) method; all jets are exact.
 
@@ -372,9 +406,7 @@ class PolynomialScalarField:
         return self.expr.is_zero
 
     def jet(self, pts) -> ScalarFieldJet:
-        pts = as_points(pts, self.n)
-        value = self.expr.eval(pts)
-        grad = np.stack([self.expr.deriv(i).eval(pts) for i in range(self.n)], axis=1)
+        value, grad = _poly_jets([self.expr], (), 1, as_points(pts, self.n))
         return ScalarFieldJet(value=value, grad=grad)
 
 
@@ -397,13 +429,7 @@ class PolynomialOneFormField:
         return all(c.is_zero for c in self.comps)
 
     def jet(self, pts) -> OneFormFieldJet:
-        pts = as_points(pts, self.n)
-        n = self.n
-        comp = np.stack([c.eval(pts) for c in self.comps], axis=1)
-        d1 = np.empty((pts.shape[0], n, n))
-        for j in range(n):
-            for i in range(n):
-                d1[:, j, i] = self.comps[i].deriv(j).eval(pts)
+        comp, d1 = _poly_jets(self.comps, (self.n,), 1, as_points(pts, self.n))
         return OneFormFieldJet(comp=comp, d1=d1)
 
 
@@ -429,15 +455,8 @@ class PolynomialEndoField:
         return all(e.is_zero for row in self.entries for e in row)
 
     def jet(self, pts) -> EndoFieldJet:
-        pts = as_points(pts, self.n)
-        n, m = self.n, pts.shape[0]
-        comp = np.empty((m, n, n))
-        d1 = np.empty((m, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                comp[:, i, j] = self.entries[i][j].eval(pts)
-                for k in range(n):
-                    d1[:, k, i, j] = self.entries[i][j].deriv(k).eval(pts)
+        flat = [e for row in self.entries for e in row]
+        comp, d1 = _poly_jets(flat, (self.n, self.n), 1, as_points(pts, self.n))
         return EndoFieldJet(comp=comp, d1=d1)
 
 
@@ -585,43 +604,15 @@ class PolynomialMetricField:
                 grid[i][j] = grid[j][i] = e
         self.n = n
         self.entries = grid
-        self._partials: dict[tuple, PolynomialExpr] = {}
-
-    def _partial(self, i: int, j: int, multi: tuple) -> PolynomialExpr:
-        # multi is sorted; mixed partials of polynomials commute exactly.
-        key = (min(i, j), max(i, j), multi)
-        expr = self._partials.get(key)
-        if expr is None:
-            expr = self.entries[i][j]
-            for k in multi:
-                expr = expr.deriv(k)
-            self._partials[key] = expr
-        return expr
 
     def jet(self, pts, order: int = 1) -> MetricFieldJet:
         _check_order(order)
-        pts = as_points(pts, self.n)
-        n, m = self.n, pts.shape[0]
-        comp = np.empty((m, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                comp[:, i, j] = comp[:, j, i] = self.entries[i][j].eval(pts)
+        # (i, j) and (j, i) hold one object: only the upper triangle is
+        # evaluated, and the lower one mirrors it
+        flat = [e for row in self.entries for e in row]
+        jets = _poly_jets(flat, (self.n, self.n), order, as_points(pts, self.n))
+        comp, d1, d2, d3 = jets + [None] * (3 - order)
         _spd_check(comp)
-
-        def fill(rank: int) -> np.ndarray:
-            out = np.empty((m,) + (n,) * rank + (n, n))
-            for multi in itertools.combinations_with_replacement(range(n), rank):
-                for i in range(n):
-                    for j in range(i, n):
-                        vals = self._partial(i, j, multi).eval(pts)
-                        for perm in set(itertools.permutations(multi)):
-                            out[(slice(None),) + perm + (i, j)] = vals
-                            out[(slice(None),) + perm + (j, i)] = vals
-            return out
-
-        d1 = fill(1)
-        d2 = fill(2) if order >= 2 else None
-        d3 = fill(3) if order >= 3 else None
         return MetricFieldJet(order=order, comp=comp, d1=d1, d2=d2, d3=d3)
 
 
@@ -677,6 +668,13 @@ def _int_param(params: dict, key: str, minimum: int):
     return int(v)
 
 
+def _float_param(params: dict, key: str, default: float) -> float:
+    v = params.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise BadParams(f"preset parameter {key!r} must be a finite number")
+    return float(v)
+
+
 def preset_manifold(name: str, params: dict | None = None) -> Manifold:
     """Build one of the stock manifolds.
 
@@ -700,28 +698,22 @@ def preset_manifold(name: str, params: dict | None = None) -> Manifold:
         return Manifold(name, chart, ConstantMetricField(n), {"n": n})
     if name == "sphere2":
         take({"r"})
-        r = params.get("r", 1.0)
-        if isinstance(r, bool) or not isinstance(r, (int, float)):
-            raise BadParams("preset parameter 'r' must be a number")
+        r = _float_param(params, "r", 1.0)
         chart = Chart(2, [0.3, 0.0], [np.pi - 0.3, 2.0 * np.pi])
-        return Manifold(name, chart, Sphere2MetricField(r), {"r": float(r)})
+        return Manifold(name, chart, Sphere2MetricField(r), {"r": r})
     if name == "half_plane":
         take({"k"})
-        k = params.get("k", 1.0)
-        if isinstance(k, bool) or not isinstance(k, (int, float)):
-            raise BadParams("preset parameter 'k' must be a number")
+        k = _float_param(params, "k", 1.0)
         chart = Chart(2, [-2.0, 0.5], [2.0, 5.0])
-        return Manifold(name, chart, HalfPlaneMetricField(k), {"k": float(k)})
+        return Manifold(name, chart, HalfPlaneMetricField(k), {"k": k})
     if name == "bumpy":
         take({"n", "eps", "seed"})
         n = _int_param(params, "n", 2)
-        eps = params.get("eps", 0.05)
-        if isinstance(eps, bool) or not isinstance(eps, (int, float)):
-            raise BadParams("preset parameter 'eps' must be a number")
+        eps = _float_param(params, "eps", 0.05)
         seed = _int_param({"seed": params.get("seed", None)}, "seed", 0)
         chart = Chart(n, [-1.0] * n, [1.0] * n)
-        metric = _bumpy_metric(n, float(eps), seed)
-        return Manifold(name, chart, metric, {"n": n, "eps": float(eps), "seed": seed})
+        metric = _bumpy_metric(n, eps, seed)
+        return Manifold(name, chart, metric, {"n": n, "eps": eps, "seed": seed})
     raise UnknownPreset(f"no manifold preset named {name!r}")
 
 

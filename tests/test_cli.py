@@ -33,6 +33,18 @@ DOUBLE_RECURRENCE = {
 }
 
 
+RAW_BUMPY2 = {
+    "manifold": {"preset": "bumpy", "n": 2, "eps": 0.05, "seed": 4},
+    "connection": {
+        "raw": {
+            "f1": X1, "f2": 0.25, "u": [0, X1], "u1": [X2, 0],
+            "u2": [X1, X2], "phi": [[X1, 1.0], [0, X2]],
+        }
+    },
+    "points": {"count": 10, "seed": 9},
+}
+
+
 def config_file(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -221,17 +233,7 @@ def test_verify_tolerance_flag_tightens_every_check(tmp_path, capsys):
 
 
 def test_verify_corruption_fails_with_diagnosis(tmp_path, capsys):
-    payload = {
-        "manifold": {"preset": "bumpy", "n": 2, "eps": 0.05, "seed": 4},
-        "connection": {
-            "raw": {
-                "f1": X1, "f2": 0.25, "u": [0, X1], "u1": [X2, 0],
-                "u2": [X1, X2], "phi": [[X1, 1.0], [0, X2]],
-            }
-        },
-        "points": {"count": 10, "seed": 9},
-    }
-    path = config_file(tmp_path, payload)
+    path = config_file(tmp_path, RAW_BUMPY2)
     code, out, _ = run_main(capsys, "verify", "--config", path, "--corrupt-term", "f2_block")
     assert code == 1
     report = json.loads(out)
@@ -360,6 +362,54 @@ def test_schema_violation_is_usage_error(tmp_path, capsys):
     bad = dict(MINIMAL, connection={"case": 12, "bindings": {"u": [0, X1, 0]}})
     code, out, err = run_main(capsys, "verify", "--config", config_file(tmp_path, bad))
     assert code == 2 and "error:" in err
+
+
+def test_infinite_tolerance_cannot_switch_a_check_off(tmp_path, capsys):
+    payload = dict(RAW_BUMPY2, tolerances={"curvature": float("inf")})
+    path = config_file(tmp_path, payload)
+    code, out, err = run_main(capsys, "verify", "--config", path, "--corrupt-term", "alpha_phi1")
+    assert code == 2 and out == ""
+    assert "tolerances.curvature: expected a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "patch, where",
+    [
+        ({"tolerances": {"torsion": float("nan")}}, "tolerances.torsion"),
+        ({"points": [[float("nan"), 0.0]]}, "points[0][0]"),
+        (
+            {"connection": {"case": 12, "bindings": {"u": [0, {"terms": [
+                {"c": float("nan"), "e": [1, 0]}]}]}}},
+            "connection.bindings.u[1].terms[0].c",
+        ),
+        (
+            {"connection": {"case": 12, "bindings": {"u": [float("-inf"), X1]}}},
+            "connection.bindings.u[0]",
+        ),
+    ],
+)
+def test_non_finite_config_numbers_are_rejected_with_their_path(tmp_path, capsys, patch, where):
+    path = config_file(tmp_path, dict(MINIMAL, **patch))
+    code, out, err = run_main(capsys, "verify", "--config", path)
+    assert code == 2 and out == ""
+    assert f"{where}: expected a finite number" in err
+
+
+def test_overflowing_polynomials_never_pass(tmp_path, capsys):
+    huge = {"terms": [{"c": 1e300, "e": [3, 0]}]}
+    payload = dict(MINIMAL, connection={"raw": {"f1": huge, "u": [huge, 0]}},
+                   points={"count": 5, "seed": 1})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, _ = run_main(capsys, "verify", "--config", config_file(tmp_path, payload))
+    assert code != 0
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_tolerance_flag_rejects_non_finite_values(tmp_path, capsys, value):
+    path = config_file(tmp_path, MINIMAL)
+    code, out, err = run_main(capsys, "verify", "--config", path, "--tolerance", value)
+    assert code == 2 and out == ""
+    assert "--tolerance: expected a finite number" in err
 
 
 def test_unknown_subcommand_exits_two(capsys):

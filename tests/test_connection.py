@@ -117,6 +117,20 @@ def test_residual_normalization():
     assert max_abs(np.array([-3.0, 2.0])) == 3.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_residuals_of_non_finite_tensors_never_pass(bad):
+    clean = np.zeros((2, 3))
+    hot = clean.copy()
+    hot[1, 2] = bad
+    assert np.isnan(max_abs(clean, np.full(2, np.nan)))
+    assert np.isnan(max_abs(np.full(2, np.nan), clean))
+    for a, b in ((hot, clean), (clean, hot), (hot, hot)):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            res = norm_residual(a, b)
+        assert not np.isfinite(res)
+        assert not res <= 1.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6).map(np.array))
 def test_residual_of_anything_with_itself_is_zero(v):

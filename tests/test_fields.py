@@ -263,6 +263,92 @@ def test_field_jets_match_finite_differences():
     assert rel_err(j.d1, fd) < 1e-8
 
 
+# Reference for the shared jet evaluator: every component and derivative slot
+# evaluated on its own, one polynomial at a time, with per-term powers.
+
+
+def reference_values(expr, pts):
+    if not expr.terms:
+        return np.zeros(len(pts))
+    exps = np.array(list(expr.terms))
+    coeffs = np.array(list(expr.terms.values()))
+    return np.prod(pts[:, None, :] ** exps[None, :, :], axis=2) @ coeffs
+
+
+def reference_jet(component, shape, rank, pts):
+    """(m, n, ..., n, *shape) array of rank-``rank`` partials; ``component``
+    maps a component index tuple to its polynomial."""
+    n = pts.shape[1]
+    out = np.empty((len(pts),) + (n,) * rank + shape)
+    for slot in np.ndindex(*((n,) * rank + shape)):
+        expr = component(slot[rank:])
+        for k in sorted(slot[:rank]):
+            expr = expr.deriv(k)
+        out[(slice(None),) + slot] = reference_values(expr, pts)
+    return out
+
+
+MAX_TERMS = 5
+METRIC_SHIFT = {True: 8192.0, False: 128.0}  # diagonal dominance at any point
+# Float-mode bound, fixed from the strategy limits: float64 eps x coefficient
+# mass (at most MAX_TERMS + the shift) x |x|^4 (at most 1.5^4) x the largest
+# falling factorial 4*3*2, times the roundings one slot can take (4 factors
+# per term, MAX_TERMS + 1 terms summed).
+FLOAT_JET_TOL = (
+    (4 + MAX_TERMS + 1) * np.finfo(float).eps
+    * (MAX_TERMS + METRIC_SHIFT[False]) * 1.5**4 * 24
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.booleans(), st.integers(1, 3), st.data())
+def test_field_jets_match_the_per_slot_reference(n, exact, order, data):
+    # integer coefficients at integer points keep every value an exact float
+    coeff = st.integers(-4, 4).map(float) if exact else st.floats(-1.0, 1.0)
+    coord = st.integers(-3, 3).map(float) if exact else st.floats(-1.5, 1.5)
+    poly = st.lists(
+        st.tuples(st.sampled_from(monomials_up_to(n, 4)), coeff), max_size=MAX_TERMS
+    ).map(lambda ts: PolynomialExpr(n, ts))
+
+    def polys(count):
+        return data.draw(st.lists(poly, min_size=count, max_size=count))
+
+    pts = np.array(data.draw(st.lists(st.lists(coord, min_size=n, max_size=n),
+                                      min_size=1, max_size=4)))
+    (f,) = polys(1)
+    comps = polys(n)
+    flat = polys(n * n)
+    entries = [flat[i * n:(i + 1) * n] for i in range(n)]
+    upper = iter(polys(n * (n + 1) // 2))
+    grid = [[None] * n for _ in range(n)]
+    shift = PolynomialExpr.constant(n, METRIC_SHIFT[exact])
+    for i in range(n):
+        for j in range(i, n):
+            grid[i][j] = grid[j][i] = next(upper) + (shift if i == j else 0.0)
+
+    sj = PolynomialScalarField(n, f).jet(pts)
+    oj = PolynomialOneFormField(n, comps).jet(pts)
+    ej = PolynomialEndoField(n, entries).jet(pts)
+    mj = PolynomialMetricField(n, grid).jet(pts, order)
+    pairs = [
+        (sj.value, reference_jet(lambda idx: f, (), 0, pts)),
+        (sj.grad, reference_jet(lambda idx: f, (), 1, pts)),
+        (oj.comp, reference_jet(lambda idx: comps[idx[0]], (n,), 0, pts)),
+        (oj.d1, reference_jet(lambda idx: comps[idx[0]], (n,), 1, pts)),
+        (ej.comp, reference_jet(lambda idx: entries[idx[0]][idx[1]], (n, n), 0, pts)),
+        (ej.d1, reference_jet(lambda idx: entries[idx[0]][idx[1]], (n, n), 1, pts)),
+    ]
+    metric_ranks = [mj.comp, mj.d1, mj.d2, mj.d3][: order + 1]
+    for rank, got in enumerate(metric_ranks):
+        pairs.append((got, reference_jet(lambda idx: grid[idx[0]][idx[1]], (n, n), rank, pts)))
+    for got, want in pairs:
+        assert got.shape == want.shape
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= FLOAT_JET_TOL
+
+
 def test_oneform_component_count_is_checked():
     with pytest.raises(DimensionMismatch):
         PolynomialOneFormField(2, [PolynomialExpr.zero(2)])
@@ -384,6 +470,17 @@ def test_preset_manifold_rejects_unknown_names_and_params():
         preset_manifold("euclidean", {"n": 1})
     with pytest.raises(BadParams):
         preset_manifold("bumpy", {"n": 2, "eps": "a", "seed": 0})
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("sphere2", {"r": float("inf")}), ("half_plane", {"k": float("nan")}),
+     ("bumpy", {"n": 2, "eps": float("nan"), "seed": 0})],
+)
+def test_preset_manifold_rejects_non_finite_parameters(name, params):
+    with pytest.raises(BadParams) as exc:
+        preset_manifold(name, params)
+    assert "must be a finite number" in str(exc.value)
 
 
 def test_bumpy_eps_bound_protects_positive_definiteness():
