@@ -44,8 +44,8 @@ from .errors import (
     MissingBinding,
 )
 from .fields import (
-    EndoFieldJet,
     IdentityEndoField,
+    Jet,
     Manifold,
     PolynomialEndoField,
     PolynomialOneFormField,
@@ -87,10 +87,10 @@ class SymmetricPartEndoField:
     def is_zero(self) -> bool:
         return self.base.is_zero
 
-    def jet_geo(self, geo) -> EndoFieldJet:
+    def jet_geo(self, geo) -> Jet:
         raw = self.base.jet(geo.pts)
         split = split_phi(raw, geo.metric, geo.inv)
-        return EndoFieldJet(comp=split.phi1, d1=split.phi1_d1)
+        return Jet(comp=split.phi1, d1=split.phi1_d1)
 
 
 class SkewPartEndoField:
@@ -109,10 +109,10 @@ class SkewPartEndoField:
     def is_zero(self) -> bool:
         return self.base.is_zero
 
-    def jet_geo(self, geo) -> EndoFieldJet:
+    def jet_geo(self, geo) -> Jet:
         raw = self.base.jet(geo.pts)
         split = split_phi(raw, geo.metric, geo.inv)
-        return EndoFieldJet(comp=split.phi2, d1=split.phi2_d1)
+        return Jet(comp=split.phi2, d1=split.phi2_d1)
 
 
 class RicciOperatorEndoField:
@@ -128,14 +128,14 @@ class RicciOperatorEndoField:
     def __init__(self, n: int):
         self.n = n
 
-    def jet_geo(self, geo) -> EndoFieldJet:
+    def jet_geo(self, geo) -> Jet:
         ricci = geo.ricci
         if ricci.q_d1 is None:
             raise JetOrderUnsupported(
                 "Ricci-operator jets need metric order 3, geometry has "
                 f"order {geo.order}"
             )
-        return EndoFieldJet(comp=ricci.q, d1=ricci.q_d1)
+        return Jet(comp=ricci.q, d1=ricci.q_d1)
 
 
 @dataclass(frozen=True)

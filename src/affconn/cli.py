@@ -4,7 +4,7 @@ Configs are JSON.  Reports are emitted on stdout, as JSON (default) or an
 indented text rendering; every float is printed with 17 significant digits
 and dictionary keys are sorted, so a report is byte-stable for a fixed
 config and seed.  Exit codes: 0 all checks pass, 1 a residual exceeded its
-tolerance, 2 configuration or usage error.
+tolerance or was not finite, 2 configuration or usage error.
 
 Config schema::
 
@@ -433,26 +433,28 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
 
     chart, metric = config.manifold.chart, config.manifold.metric
     spec, pts = config.spec, config.points
-    # Each consumer applies the corruption only if it owns the named term.
-    frame = evaluate_spec(
-        chart, metric, spec, pts, order=needed_order(spec), corrupt=corruption
-    )
+    # A numeric blow-up fails its checks by name below, not through warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Each consumer applies the corruption only if it owns the named term.
+        frame = evaluate_spec(
+            chart, metric, spec, pts, order=needed_order(spec), corrupt=corruption
+        )
 
-    t_direct = torsion_direct(frame.gamma_tilde)
-    t_law = torsion_predicted(frame.u.comp, frame.phi.comp)
-    q_direct = nonmetricity_direct(frame.gamma_tilde, frame.geo.metric)
-    q_law = nonmetricity_predicted(
-        frame.geo.g, frame.u1.comp, frame.u2.comp, frame.f1.value, frame.f2.value
-    )
-    tp_metric = transpose_torsion_from_metric(t_direct, frame.geo.g, frame.geo.ginv)
-    tp_closed = transpose_torsion_closed(
-        frame.u.comp, frame.split, frame.u_sharp.comp
-    )
-    r_formula, _ = curvature_formula(frame, corrupt=corruption)
-    r_direct = curvature_direct(chart, metric, spec, pts, corrupt=corruption)
-    # np.max, unlike max(), keeps a NaN residual
-    antisym = float(np.max([norm_residual(r_formula, -r_formula.swapaxes(2, 3)),
-                            norm_residual(r_direct, -r_direct.swapaxes(2, 3))]))
+        t_direct = torsion_direct(frame.gamma_tilde)
+        t_law = torsion_predicted(frame.u.comp, frame.phi.comp)
+        q_direct = nonmetricity_direct(frame.gamma_tilde, frame.geo.metric)
+        q_law = nonmetricity_predicted(
+            frame.geo.g, frame.u1.comp, frame.u2.comp, frame.f1.value, frame.f2.value
+        )
+        tp_metric = transpose_torsion_from_metric(t_direct, frame.geo.g, frame.geo.ginv)
+        tp_closed = transpose_torsion_closed(
+            frame.u.comp, frame.split, frame.u_sharp.comp
+        )
+        r_formula, _ = curvature_formula(frame, corrupt=corruption)
+        r_direct = curvature_direct(chart, metric, spec, pts, corrupt=corruption)
+        # np.max, unlike max(), keeps a NaN residual
+        antisym = float(np.max([norm_residual(r_formula, -r_formula.swapaxes(2, 3)),
+                                norm_residual(r_direct, -r_direct.swapaxes(2, 3))]))
 
     tols = config.tolerances
     rows = [
@@ -462,8 +464,15 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
         ("curvature_antisymmetry", antisym, tols["antisymmetry"]),
         ("curvature_formula_vs_direct", norm_residual(r_formula, r_direct), tols["curvature"]),
     ]
+    # a non-finite residual has no number to report: it fails and is named
+    non_finite = [name for name, res, _ in rows if not math.isfinite(res)]
     checks = [
-        {"check": name, "residual": res, "tolerance": tol, "pass": bool(res <= tol)}
+        {
+            "check": name,
+            "residual": res if name not in non_finite else None,
+            "tolerance": tol,
+            "pass": bool(res <= tol),
+        }
         for name, res, tol in rows
     ]
     ok = all(c["pass"] for c in checks)
@@ -477,7 +486,9 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
         "checks": checks,
         "pass": ok,
     }
-    if not ok:
+    if non_finite:
+        report["non_finite_checks"] = non_finite
+    elif not ok:
         report["diagnosis"] = diagnose(
             chart, metric, spec, pts, tolerance=tols["curvature"], corrupt=corruption
         )

@@ -24,22 +24,19 @@ import numpy as np
 from .errors import BadParams, DimensionMismatch
 from .fields import (
     Chart,
-    EndoFieldJet,
-    MetricFieldJet,
-    OneFormFieldJet,
+    Jet,
     PolynomialEndoField,
     PolynomialOneFormField,
     PolynomialScalarField,
     random_polynomial,
 )
-from .levi_civita import InverseMetricJet, PointGeometry
+from .levi_civita import PointGeometry
 
 __all__ = [
     "ConnectionSpec",
     "Corruption",
     "H_TERMS",
     "PhiSplit",
-    "VectorJet",
     "PointFrame",
     "max_abs",
     "norm_residual",
@@ -145,19 +142,13 @@ def norm_residual(a: np.ndarray, b: np.ndarray) -> float:
     return max_abs(a - b) / max(1.0, max_abs(a, b))
 
 
-@dataclass(frozen=True)
-class VectorJet:
-    comp: np.ndarray  # (m, n)
-    d1: np.ndarray  # (m, n, n), d1[p, a, k] = d_a xi^k
-
-
-def sharp(eta: OneFormFieldJet, inv: InverseMetricJet) -> VectorJet:
+def sharp(eta: Jet, inv: Jet) -> Jet:
     """Raise a one-form: xi^k = g^km eta_m, with the exact 1-jet."""
     comp = np.einsum("pkm,pm->pk", inv.comp, eta.comp)
     d1 = np.einsum("pakm,pm->pak", inv.d1, eta.comp) + np.einsum(
         "pkm,pam->pak", inv.comp, eta.d1
     )
-    return VectorJet(comp=comp, d1=d1)
+    return Jet(comp=comp, d1=d1)
 
 
 @dataclass(frozen=True)
@@ -182,7 +173,7 @@ class PhiSplit:
     phi2_d1: np.ndarray
 
 
-def split_phi(phi: EndoFieldJet, mj: MetricFieldJet, inv: InverseMetricJet) -> PhiSplit:
+def split_phi(phi: Jet, mj: Jet, inv: Jet) -> PhiSplit:
     raw = np.einsum("pmi,pmj->pij", phi.comp, mj.comp)
     raw_d1 = np.einsum("pami,pmj->paij", phi.d1, mj.comp) + np.einsum(
         "pmi,pamj->paij", phi.comp, mj.d1
@@ -257,7 +248,7 @@ def torsion_predicted(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return half - half.swapaxes(2, 3)
 
 
-def nonmetricity_direct(gamma_tilde: np.ndarray, mj: MetricFieldJet) -> np.ndarray:
+def nonmetricity_direct(gamma_tilde: np.ndarray, mj: Jet) -> np.ndarray:
     """(nabla~_i g)_jk = d_i g_jk - Gamma~^m_ij g_mk - Gamma~^m_ik g_jm.
 
     The two lowered terms are one contraction and its (j,k) swap; adding
@@ -290,7 +281,7 @@ def transpose_torsion_closed(u, split: PhiSplit, U) -> np.ndarray:
     )
 
 
-def resolve_endo_jet(phi_field, geo: PointGeometry) -> EndoFieldJet:
+def resolve_endo_jet(phi_field, geo: PointGeometry) -> Jet:
     """Plain fields evaluate at points; derived fields (symmetric part,
     Ricci operator) evaluate against the geometry bundle."""
     if hasattr(phi_field, "jet_geo"):
@@ -303,20 +294,18 @@ class PointFrame:
     """Everything Theorem-1 checks need at one batch of points."""
 
     geo: PointGeometry
-    spec: ConnectionSpec
     f1: object
     f2: object
-    u: OneFormFieldJet
-    u1: OneFormFieldJet
-    u2: OneFormFieldJet
-    phi: EndoFieldJet
+    u: Jet
+    u1: Jet
+    u2: Jet
+    phi: Jet
     split: PhiSplit
-    u_sharp: VectorJet
-    u1_sharp: VectorJet
-    u2_sharp: VectorJet
+    u_sharp: Jet
+    u1_sharp: Jet
+    u2_sharp: Jet
     h: np.ndarray
     gamma_tilde: np.ndarray
-    corrupt: Corruption | None = None
 
 
 def evaluate_spec(
@@ -339,7 +328,7 @@ def evaluate_spec(
     # Aliased bindings get one jet object, hence bit-identical values.
     jet_cache: dict[int, object] = {}
 
-    def one_form(f) -> OneFormFieldJet:
+    def one_form(f) -> Jet:
         key = id(f)
         if key not in jet_cache:
             jet_cache[key] = f.jet(geo.pts)
@@ -351,9 +340,9 @@ def evaluate_spec(
     phi = resolve_endo_jet(spec.phi, geo)
     split = split_phi(phi, geo.metric, geo.inv)
 
-    sharp_cache: dict[int, VectorJet] = {}
+    sharp_cache: dict[int, Jet] = {}
 
-    def raise_one(jet) -> VectorJet:
+    def raise_one(jet) -> Jet:
         key = id(jet)
         if key not in sharp_cache:
             sharp_cache[key] = sharp(jet, geo.inv)
@@ -375,7 +364,6 @@ def evaluate_spec(
     )
     return PointFrame(
         geo=geo,
-        spec=spec,
         f1=f1,
         f2=f2,
         u=u,
@@ -388,7 +376,6 @@ def evaluate_spec(
         u2_sharp=u2s,
         h=h,
         gamma_tilde=geo.gamma + h,
-        corrupt=corrupt,
     )
 
 

@@ -3,9 +3,9 @@
 ``curvature_formula`` assembles the closed-form expression for R~ out of the
 helper tensors alpha/A, beta/B, mu and R0; its fourteen addend groups (one
 per display line of the source formula) are named and individually
-toggleable.  ``curvature_direct`` is the oracle: it differentiates
-Gamma~ = Gamma + H once, exactly, building every ingredient inline from raw
-field jets so the two paths share no helper-tensor code.  ``diagnose`` turns
+toggleable.  ``curvature_direct`` is the oracle: it rebuilds Gamma~ = Gamma
++ H from raw field jets and differentiates it by a mechanical product rule,
+so the two paths share no helper tensor and no derivative.  ``diagnose`` turns
 a mismatch into an attribution table plus a minimal failing configuration.
 
 Curvature layout: ``r[p, l, i, j, k]`` is the d_l component of R~(d_i, d_j)
@@ -14,6 +14,7 @@ d_k.  The exterior derivative convention is 2du(d_i, d_j) = d_i u_j - d_j u_i.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from .connection import (
     sharp,
 )
 from .errors import BadParams
-from .fields import Chart, OneFormFieldJet
+from .fields import Chart, Jet
 from .levi_civita import (
     PointGeometry,
     cov_deriv_endo,
@@ -91,7 +92,7 @@ class EtaHelpers:
     avec: np.ndarray
 
 
-def _sharp_for(frame: PointFrame, eta: OneFormFieldJet):
+def _sharp_for(frame: PointFrame, eta: Jet):
     for jet, vj in (
         (frame.u, frame.u_sharp),
         (frame.u1, frame.u1_sharp),
@@ -102,7 +103,7 @@ def _sharp_for(frame: PointFrame, eta: OneFormFieldJet):
     return sharp(eta, frame.geo.inv)
 
 
-def eta_helpers(eta: OneFormFieldJet, frame: PointFrame) -> EtaHelpers:
+def eta_helpers(eta: Jet, frame: PointFrame) -> EtaHelpers:
     """beta(eta,X,Y) = (nabla_X eta)Y + u(X) eta(phi2 Y) - eta(phi1 X) u(Y)
     + eta(U) g(phi1 X, Y); B is its g-raising on the Y slot; alpha and A
     subtract half of the eta(U) term."""
@@ -150,7 +151,7 @@ def r0(g: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray
     return gyz[:, None] * x - gxz[:, None] * y
 
 
-def exterior_2du(eta: OneFormFieldJet) -> np.ndarray:
+def exterior_2du(eta: Jet) -> np.ndarray:
     """2du(d_i, d_j) = d_i eta_j - d_j eta_i; antisymmetric exactly."""
     return eta.d1 - eta.d1.swapaxes(1, 2)
 
@@ -278,6 +279,36 @@ def needed_order(spec: ConnectionSpec) -> int:
     return max(2, getattr(spec.phi, "min_metric_order", 1))
 
 
+@functools.cache
+def _jein_dspecs(spec: str) -> tuple:
+    """Per operand of ``spec``, the einsum of its derivative term: the axis
+    ``a`` inserted after ``p`` in that operand and in the output.  Batched
+    operands and the output start with ``p``, and ``a`` is free; an operand
+    without ``p`` is a constant and gets None."""
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    return tuple(
+        ",".join(ins[:t] + ["pa" + s[1:]] + ins[t + 1 :]) + "->pa" + out[1:]
+        if s.startswith("p") else None
+        for t, s in enumerate(ins)
+    )
+
+
+def _jein(spec: str, *operands) -> Jet:
+    """Product rule for an einsum over jets: the value is the einsum of the
+    values, the derivative one einsum per ``Jet`` operand with that operand's
+    1-jet in its place.  Plain arrays are constants."""
+    vals = [o.comp if isinstance(o, Jet) else o for o in operands]
+    d1 = None
+    for t, dspec in enumerate(_jein_dspecs(spec)):
+        if isinstance(operands[t], Jet):
+            args = vals.copy()
+            args[t] = operands[t].d1
+            term = np.einsum(dspec, *args)
+            d1 = term if d1 is None else d1 + term
+    return Jet(np.einsum(spec, *vals), d1)
+
+
 def curvature_direct(
     chart: Chart,
     metric_field,
@@ -287,22 +318,20 @@ def curvature_direct(
 ) -> np.ndarray:
     """Coordinate oracle: R~^l_ijk from the exact 1-jet of Gamma~ = Gamma + H.
 
-    Every intermediate (inverse metric, Christoffel, Phi split, sharps, H and
-    its derivative) is rebuilt here from raw field jets; nothing is shared
-    with curvature_formula's helper-tensor path.
+    Every intermediate (inverse metric, Christoffel, Phi split, sharps, H) is
+    rebuilt here from raw field jets and written once, as its value: ``_jein``
+    derives its 1-jet by the product rule.  Only d(g^-1) is written out.
+    Nothing is shared with curvature_formula's helper-tensor path.
     """
     pts = chart.require_inside(pts)
     order = needed_order(spec)
-    mj = metric_field.jet(pts, order=order)
-    g, dg, ddg = mj.comp, mj.d1, mj.d2
-    n = chart.n
-    eye = np.eye(n)
+    g = metric_field.jet(pts, order=order)
+    dg = Jet(g.d1, g.d2)  # d_k g_ij as a field of its own
+    eye = np.eye(chart.n)
+    f1, f2 = (Jet(j.value, j.grad) for j in (spec.f1.jet(pts), spec.f2.jet(pts)))
+    jet_cache: dict[int, Jet] = {}
 
-    f1 = spec.f1.jet(pts)
-    f2 = spec.f2.jet(pts)
-    jet_cache: dict[int, object] = {}
-
-    def one_form(f):
+    def one_form(f) -> Jet:
         key = id(f)
         if key not in jet_cache:
             jet_cache[key] = f.jet(pts)
@@ -314,97 +343,33 @@ def curvature_direct(
     else:
         phi = spec.phi.jet(pts)
 
-    ginv = np.linalg.inv(g)
-    dginv = -np.einsum("pab,pkbc,pcd->pkad", ginv, dg, ginv)
+    ginv_v = np.linalg.inv(g.comp)
+    ginv_a = ginv_v[:, None]
+    ginv = Jet(ginv_v, -(ginv_a @ (g.d1 @ ginv_a)))
+    low = 0.5 * (_jein("pimj->pmij", dg) + _jein("pjmi->pmij", dg) - dg)
+    gamma = _jein("pkm,pmij->pkij", ginv, low)
 
-    low = 0.5 * (np.einsum("pimj->pmij", dg) + np.einsum("pjmi->pmij", dg) - dg)
-    dlow = 0.5 * (np.einsum("paimj->pamij", ddg) + np.einsum("pajmi->pamij", ddg) - ddg)
-    gamma = np.einsum("pkm,pmij->pkij", ginv, low)
-    dgamma = np.einsum("pakm,pmij->pakij", dginv, low) + np.einsum(
-        "pkm,pamij->pakij", ginv, dlow
-    )
-
-    raw = np.einsum("pmi,pmj->pij", phi.comp, g)
-    draw = np.einsum("pami,pmj->paij", phi.d1, g) + np.einsum(
-        "pmi,pamj->paij", phi.comp, dg
-    )
-    p1 = 0.5 * (raw + raw.swapaxes(1, 2))
-    p2 = raw - p1
-    dp1 = 0.5 * (draw + draw.swapaxes(2, 3))
-    dp2 = draw - dp1
-    phi1 = np.einsum("pim,pmk->pki", p1, ginv)
-    dphi1 = np.einsum("paim,pmk->paki", dp1, ginv) + np.einsum(
-        "pim,pamk->paki", p1, dginv
-    )
-    phi2 = np.einsum("pim,pmk->pki", p2, ginv)
-    dphi2 = np.einsum("paim,pmk->paki", dp2, ginv) + np.einsum(
-        "pim,pamk->paki", p2, dginv
-    )
-
-    def vec(jet):
-        v = np.einsum("pkm,pm->pk", ginv, jet.comp)
-        dv = np.einsum("pakm,pm->pak", dginv, jet.comp) + np.einsum(
-            "pkm,pam->pak", ginv, jet.d1
-        )
-        return v, dv
-
-    big_u, dbig_u = vec(u)
-    big_u1, dbig_u1 = vec(u1)
-    big_u2, dbig_u2 = vec(u2)
-
-    rec = (
-        np.einsum("pi,kj->pkij", u1.comp, eye)
-        + np.einsum("pj,ki->pkij", u1.comp, eye)
-        - np.einsum("pij,pk->pkij", g, big_u1)
-    )
-    drec = (
-        np.einsum("pai,kj->pakij", u1.d1, eye)
-        + np.einsum("paj,ki->pakij", u1.d1, eye)
-        - np.einsum("paij,pk->pakij", dg, big_u1)
-        - np.einsum("pij,pak->pakij", g, dbig_u1)
-    )
-    gu2 = np.einsum("pij,pk->pkij", g, big_u2)
-    dgu2 = np.einsum("paij,pk->pakij", dg, big_u2) + np.einsum(
-        "pij,pak->pakij", g, dbig_u2
-    )
-
-    # (value, derivative) of each H addend, keyed by fault-injection name.
-    terms = {
-        "h_u_phi1": (
-            np.einsum("pj,pki->pkij", u.comp, phi1),
-            np.einsum("paj,pki->pakij", u.d1, phi1)
-            + np.einsum("pj,paki->pakij", u.comp, dphi1),
-        ),
-        "h_u_phi2": (
-            -np.einsum("pi,pkj->pkij", u.comp, phi2),
-            -np.einsum("pai,pkj->pakij", u.d1, phi2)
-            - np.einsum("pi,pakj->pakij", u.comp, dphi2),
-        ),
-        "h_phi1_u": (
-            -np.einsum("pij,pk->pkij", p1, big_u),
-            -np.einsum("paij,pk->pakij", dp1, big_u)
-            - np.einsum("pij,pak->pakij", p1, dbig_u),
-        ),
-        "h_f1": (
-            -f1.value[:, None, None, None] * rec,
-            -np.einsum("pa,pkij->pakij", f1.grad, rec)
-            - f1.value[:, None, None, None, None] * drec,
-        ),
-        "h_f2": (
-            -f2.value[:, None, None, None] * gu2,
-            -np.einsum("pa,pkij->pakij", f2.grad, gu2)
-            - f2.value[:, None, None, None, None] * dgu2,
-        ),
+    raw = _jein("pmi,pmj->pij", phi, g)
+    p1 = 0.5 * (raw + _jein("pji->pij", raw))
+    phi1 = _jein("pim,pmk->pki", p1, ginv)
+    phi2 = phi - phi1  # raising Phi1 + Phi2 = Phi gives back phi
+    big_u, big_u1, big_u2 = (_jein("pkm,pm->pk", ginv, w) for w in (u, u1, u2))
+    u1_eye = _jein("pi,kj->pkij", u1, eye)
+    rec = u1_eye + _jein("pkji->pkij", u1_eye) - _jein("pij,pk->pkij", g, big_u1)
+    # each H addend up to its sign, keyed by fault-injection name
+    h = {
+        "h_u_phi1": _jein("pj,pki->pkij", u, phi1),
+        "h_u_phi2": _jein("pi,pkj->pkij", u, phi2),
+        "h_phi1_u": _jein("pij,pk->pkij", p1, big_u),
+        "h_f1": _jein("p,pkij->pkij", f1, rec),
+        "h_f2": _jein("p,pij,pk->pkij", f2, g, big_u2),
     }
-    if corrupt is not None and corrupt.name in terms:
-        v, d = terms[corrupt.name]
-        terms[corrupt.name] = (corrupt.factor * v, corrupt.factor * d)
-    h = sum(v for v, _ in terms.values())
-    dh = sum(d for _, d in terms.values())
-
-    gt = gamma + h
-    dgt = dgamma + dh
-    half = np.einsum("piljk->plijk", dgt) + np.einsum("plim,pmjk->plijk", gt, gt)
+    if corrupt is not None and corrupt.name in h:
+        h[corrupt.name] = corrupt.factor * h[corrupt.name]
+    gt = (
+        gamma + h["h_u_phi1"] - h["h_u_phi2"] - h["h_phi1_u"] - h["h_f1"] - h["h_f2"]
+    )
+    half = np.einsum("piljk->plijk", gt.d1) + np.einsum("plim,pmjk->plijk", gt.comp, gt.comp)
     return half - half.swapaxes(2, 3)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,9 +39,7 @@ __all__ = [
     "Chart",
     "PolynomialExpr",
     "ScalarFieldJet",
-    "OneFormFieldJet",
-    "EndoFieldJet",
-    "MetricFieldJet",
+    "Jet",
     "PointJets",
     "PolynomialScalarField",
     "PolynomialOneFormField",
@@ -143,7 +142,7 @@ class PolynomialExpr:
     polynomial commute exactly, not just to rounding).
     """
 
-    __slots__ = ("n", "terms", "_exps", "_coeffs", "_derivs")
+    __slots__ = ("n", "terms", "_derivs")
 
     def __init__(self, n: int, terms=()):
         if n < 1:
@@ -157,12 +156,6 @@ class PolynomialExpr:
             merged[e] = merged.get(e, 0.0) + float(c)
         self.n = n
         self.terms = {e: c for e, c in sorted(merged.items()) if c != 0.0}
-        if self.terms:
-            self._exps = np.array(list(self.terms.keys()), dtype=np.int64)
-            self._coeffs = np.array(list(self.terms.values()), dtype=float)
-        else:
-            self._exps = np.zeros((0, n), dtype=np.int64)
-            self._coeffs = np.zeros(0)
         self._derivs: dict[int, "PolynomialExpr"] = {}
 
     @classmethod
@@ -264,21 +257,21 @@ def _eval_polynomials(exprs, pts: np.ndarray) -> np.ndarray:
     column, so they evaluate bit-identically.
     """
     m, n = pts.shape
-    keys = [e._exps.tobytes() + e._coeffs.tobytes() for e in exprs]
-    distinct = dict(zip(keys, exprs))
-    basis = sorted({mono for e in distinct.values() for mono in e.terms})
+    col: dict[tuple, int] = {}
+    cols = [col.setdefault(tuple(e.terms.items()), len(col)) for e in exprs]
+    basis = sorted({mono for key in col for mono, _ in key})
     if not basis:
         return np.zeros((m, len(exprs)))
     row = {mono: r for r, mono in enumerate(basis)}
-    coeffs = np.zeros((len(basis), len(distinct)))
-    for c, e in enumerate(distinct.values()):
-        coeffs[[row[mono] for mono in e.terms], c] = e._coeffs
+    coeffs = [0.0] * (len(col) * len(basis))
+    for at, key in zip(range(0, len(coeffs), len(basis)), col):
+        for mono, coeff in key:
+            coeffs[at + row[mono]] = coeff
     # the power table holds only the exponents that occur
     levels, level = np.unique(basis, return_inverse=True)
     power = pts[:, :, None] ** levels
     mono = np.prod(power[:, np.arange(n), level.reshape(len(basis), n)], axis=2)
-    col = {key: c for c, key in enumerate(distinct)}
-    return (mono @ coeffs)[:, [col[key] for key in keys]]
+    return (mono @ np.reshape(coeffs, (len(col), len(basis))).T)[:, cols]
 
 
 def poly_from_json(n: int, obj, where: str = "polynomial") -> PolynomialExpr:
@@ -325,36 +318,58 @@ class ScalarFieldJet:
 
 
 @dataclass(frozen=True)
-class OneFormFieldJet:
-    comp: np.ndarray  # (m, n)
-    d1: np.ndarray  # (m, n, n), d1[p, j, i] = d_j eta_i
+class Jet:
+    """A tensor field at a point batch with its exact partials.
 
+    ``comp`` is (m, *shape); ``d1`` is (m, n, *shape), ``d2`` (m, n, n,
+    *shape) and ``d3`` (m, n, n, n, *shape), the derivative axes right after
+    the batch axis in the order the derivatives were taken.  Levels that
+    were not evaluated are None.
+    """
 
-@dataclass(frozen=True)
-class EndoFieldJet:
-    comp: np.ndarray  # (m, n, n), comp[p, i, j] = phi^i_j
-    d1: np.ndarray  # (m, n, n, n), d1[p, k, i, j] = d_k phi^i_j
+    comp: np.ndarray
+    d1: np.ndarray | None = None
+    d2: np.ndarray | None = None
+    d3: np.ndarray | None = None
 
+    @property
+    def levels(self) -> tuple:
+        return (self.comp, self.d1, self.d2, self.d3)[: self.order + 1]
 
-@dataclass(frozen=True)
-class MetricFieldJet:
-    order: int
-    comp: np.ndarray  # (m, n, n)
-    d1: np.ndarray  # (m, n, n, n)
-    d2: np.ndarray | None = None  # (m, n, n, n, n)
-    d3: np.ndarray | None = None  # (m, n, n, n, n, n)
+    @property
+    def order(self) -> int:
+        """How many derivative levels are present."""
+        if self.d1 is None:
+            return 0
+        if self.d2 is None:
+            return 1
+        return 2 if self.d3 is None else 3
 
     def require_order(self, r: int, what: str):
         if self.order < r:
             raise JetOrderUnsupported(
-                f"{what} needs metric jets of order {r}, evaluated order is {self.order}"
+                f"{what} needs jets of order {r}, evaluated order is {self.order}"
             )
+
+    def __add__(self, other: "Jet") -> "Jet":
+        return Jet(*map(operator.add, self.levels, other.levels))
+
+    def __sub__(self, other: "Jet") -> "Jet":
+        return Jet(*map(operator.sub, self.levels, other.levels))
+
+    def __neg__(self) -> "Jet":
+        return Jet(*map(operator.neg, self.levels))
+
+    def __mul__(self, c: float) -> "Jet":
+        return Jet(*(c * a for a in self.levels))
+
+    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
 class PointJets:
     points: np.ndarray
-    metric: MetricFieldJet
+    metric: Jet
     fields: dict
 
 
@@ -428,9 +443,8 @@ class PolynomialOneFormField:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.comps)
 
-    def jet(self, pts) -> OneFormFieldJet:
-        comp, d1 = _poly_jets(self.comps, (self.n,), 1, as_points(pts, self.n))
-        return OneFormFieldJet(comp=comp, d1=d1)
+    def jet(self, pts) -> Jet:
+        return Jet(*_poly_jets(self.comps, (self.n,), 1, as_points(pts, self.n)))
 
 
 class PolynomialEndoField:
@@ -454,10 +468,9 @@ class PolynomialEndoField:
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.entries for e in row)
 
-    def jet(self, pts) -> EndoFieldJet:
+    def jet(self, pts) -> Jet:
         flat = [e for row in self.entries for e in row]
-        comp, d1 = _poly_jets(flat, (self.n, self.n), 1, as_points(pts, self.n))
-        return EndoFieldJet(comp=comp, d1=d1)
+        return Jet(*_poly_jets(flat, (self.n, self.n), 1, as_points(pts, self.n)))
 
 
 class IdentityEndoField:
@@ -467,11 +480,11 @@ class IdentityEndoField:
         self.n = n
         self.is_zero = False
 
-    def jet(self, pts) -> EndoFieldJet:
+    def jet(self, pts) -> Jet:
         pts = as_points(pts, self.n)
         m, n = pts.shape[0], self.n
         comp = np.broadcast_to(np.eye(n), (m, n, n)).copy()
-        return EndoFieldJet(comp=comp, d1=np.zeros((m, n, n, n)))
+        return Jet(comp=comp, d1=np.zeros((m, n, n, n)))
 
 
 def _spd_check(comp: np.ndarray):
@@ -501,7 +514,7 @@ class ConstantMetricField:
             raise BadParams("constant metric must be symmetric")
         self.matrix = mat
 
-    def jet(self, pts, order: int = 1) -> MetricFieldJet:
+    def jet(self, pts, order: int = 1) -> Jet:
         _check_order(order)
         pts = as_points(pts, self.n)
         m, n = pts.shape[0], self.n
@@ -509,9 +522,7 @@ class ConstantMetricField:
         _spd_check(comp)
         d2 = np.zeros((m, n, n, n, n)) if order >= 2 else None
         d3 = np.zeros((m, n, n, n, n, n)) if order >= 3 else None
-        return MetricFieldJet(
-            order=order, comp=comp, d1=np.zeros((m, n, n, n)), d2=d2, d3=d3
-        )
+        return Jet(comp=comp, d1=np.zeros((m, n, n, n)), d2=d2, d3=d3)
 
 
 class Sphere2MetricField:
@@ -525,7 +536,7 @@ class Sphere2MetricField:
             raise BadParams(f"sphere radius must be positive, got {r}")
         self.r = float(r)
 
-    def jet(self, pts, order: int = 1) -> MetricFieldJet:
+    def jet(self, pts, order: int = 1) -> Jet:
         _check_order(order)
         pts = as_points(pts, 2)
         m = pts.shape[0]
@@ -544,7 +555,7 @@ class Sphere2MetricField:
         if order >= 3:
             d3 = np.zeros((m, 2, 2, 2, 2, 2))
             d3[:, 0, 0, 0, 1, 1] = -4.0 * r2 * np.sin(2.0 * theta)
-        return MetricFieldJet(order=order, comp=comp, d1=d1, d2=d2, d3=d3)
+        return Jet(comp=comp, d1=d1, d2=d2, d3=d3)
 
 
 class HalfPlaneMetricField:
@@ -558,7 +569,7 @@ class HalfPlaneMetricField:
             raise BadParams(f"half-plane scale must be positive, got {k}")
         self.k = float(k)
 
-    def jet(self, pts, order: int = 1) -> MetricFieldJet:
+    def jet(self, pts, order: int = 1) -> Jet:
         _check_order(order)
         pts = as_points(pts, 2)
         m = pts.shape[0]
@@ -580,7 +591,7 @@ class HalfPlaneMetricField:
         if order >= 3:
             d3 = np.zeros((m, 2, 2, 2, 2, 2))
             d3[:, 1, 1, 1, 0, 0] = d3[:, 1, 1, 1, 1, 1] = -24.0 * k2 / y**5
-        return MetricFieldJet(order=order, comp=comp, d1=d1, d2=d2, d3=d3)
+        return Jet(comp=comp, d1=d1, d2=d2, d3=d3)
 
 
 class PolynomialMetricField:
@@ -605,15 +616,14 @@ class PolynomialMetricField:
         self.n = n
         self.entries = grid
 
-    def jet(self, pts, order: int = 1) -> MetricFieldJet:
+    def jet(self, pts, order: int = 1) -> Jet:
         _check_order(order)
         # (i, j) and (j, i) hold one object: only the upper triangle is
         # evaluated, and the lower one mirrors it
         flat = [e for row in self.entries for e in row]
-        jets = _poly_jets(flat, (self.n, self.n), order, as_points(pts, self.n))
-        comp, d1, d2, d3 = jets + [None] * (3 - order)
-        _spd_check(comp)
-        return MetricFieldJet(order=order, comp=comp, d1=d1, d2=d2, d3=d3)
+        jet = Jet(*_poly_jets(flat, (self.n, self.n), order, as_points(pts, self.n)))
+        _spd_check(jet.comp)
+        return jet
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import JetOrderUnsupported
-from .fields import Chart, MetricFieldJet
+from .fields import Chart, Jet
 
 __all__ = [
-    "InverseMetricJet",
-    "ChristoffelJet",
     "CurvatureComponents",
     "RicciData",
     "inverse_metric",
@@ -44,30 +42,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class InverseMetricJet:
-    comp: np.ndarray  # (m, n, n)
-    d1: np.ndarray | None = None  # (m, n, n, n), d1[p, a, i, j] = d_a g^ij
-    d2: np.ndarray | None = None  # (m, n, n, n, n)
-
-
-@dataclass(frozen=True)
-class ChristoffelJet:
-    gamma: np.ndarray  # (m, n, n, n), gamma[p, k, i, j]
-    d1: np.ndarray | None = None  # (m, n, n, n, n), d1[p, l, k, i, j] = d_l Gamma^k_ij
-    d2: np.ndarray | None = None  # (m, n, n, n, n, n), d2[p, l, q, k, i, j]
-
-    def require_d1(self, what: str) -> np.ndarray:
-        if self.d1 is None:
-            raise JetOrderUnsupported(f"{what} needs first derivatives of Gamma")
-        return self.d1
-
-    def require_d2(self, what: str) -> np.ndarray:
-        if self.d2 is None:
-            raise JetOrderUnsupported(f"{what} needs second derivatives of Gamma")
-        return self.d2
-
-
-@dataclass(frozen=True)
 class CurvatureComponents:
     r: np.ndarray  # (m, n, n, n, n), r[p, l, i, j, k]
 
@@ -79,24 +53,27 @@ class RicciData:
     q_d1: np.ndarray | None = None  # (m, n, n, n), q_d1[p, a, i, j] = d_a Q^i_j
 
 
-def inverse_metric(mj: MetricFieldJet) -> InverseMetricJet:
+def inverse_metric(mj: Jet) -> Jet:
     """Pointwise inverse with as many exact-derivative levels as the metric
-    jet supports, via d(g^-1) = -g^-1 (dg) g^-1."""
+    jet supports, via d(g^-1) = -g^-1 (dg) g^-1, each term as two batched
+    matrix products."""
     ginv = np.linalg.inv(mj.comp)
-    d1 = -np.einsum("pim,pamn,pnj->paij", ginv, mj.d1, ginv)
+    ginv_a = ginv[:, None]  # broadcasts over one derivative axis
+    d1 = -(ginv_a @ mj.d1 @ ginv_a)
     d2 = None
     if mj.d2 is not None:
         # d_a d_b g^-1 = -(d_a g^-1)(d_b g)g^-1 - g^-1(d_a d_b g)g^-1
         #               - g^-1(d_b g)(d_a g^-1)
+        ginv_ab = ginv[:, None, None]
         d2 = (
-            -np.einsum("paim,pbmn,pnj->pabij", d1, mj.d1, ginv)
-            - np.einsum("pim,pabmn,pnj->pabij", ginv, mj.d2, ginv)
-            - np.einsum("pim,pbmn,panj->pabij", ginv, mj.d1, d1)
+            -(d1[:, :, None] @ (mj.d1 @ ginv_a)[:, None])
+            - ginv_ab @ mj.d2 @ ginv_ab
+            - (ginv_a @ mj.d1)[:, None] @ d1[:, :, None]
         )
-    return InverseMetricJet(comp=ginv, d1=d1, d2=d2)
+    return Jet(comp=ginv, d1=d1, d2=d2)
 
 
-def christoffel(mj: MetricFieldJet, inv: InverseMetricJet | None = None) -> ChristoffelJet:
+def christoffel(mj: Jet, inv: Jet | None = None) -> Jet:
     """Levi-Civita connection coefficients with available derivatives.
 
     Built through the lowered symbol C_mij = (d_i g_mj + d_j g_mi - d_m g_ij)/2,
@@ -132,7 +109,7 @@ def christoffel(mj: MetricFieldJet, inv: InverseMetricJet | None = None) -> Chri
                 + np.einsum("pqkm,plmij->plqkij", inv.d1, low_d1)
                 + np.einsum("pkm,plqmij->plqkij", inv.comp, low_d2)
             )
-    return ChristoffelJet(gamma=gamma, d1=d1, d2=d2)
+    return Jet(comp=gamma, d1=d1, d2=d2)
 
 
 def _riemann_half(gamma: np.ndarray, gamma_d1: np.ndarray) -> np.ndarray:
@@ -142,28 +119,28 @@ def _riemann_half(gamma: np.ndarray, gamma_d1: np.ndarray) -> np.ndarray:
     )
 
 
-def riemann(cj: ChristoffelJet) -> CurvatureComponents:
+def riemann(cj: Jet) -> CurvatureComponents:
     """Curvature of the connection; antisymmetric in (i, j) exactly."""
-    half = _riemann_half(cj.gamma, cj.require_d1("riemann"))
+    cj.require_order(1, "riemann")
+    half = _riemann_half(cj.comp, cj.d1)
     return CurvatureComponents(r=half - half.swapaxes(2, 3))
 
 
-def riemann_d1(cj: ChristoffelJet) -> np.ndarray:
+def riemann_d1(cj: Jet) -> np.ndarray:
     """d_a R^l_ijk, layout (m, n, n, n, n, n) = [p, a, l, i, j, k]."""
-    d1 = cj.require_d1("riemann_d1")
-    d2 = cj.require_d2("riemann_d1")
+    cj.require_order(2, "riemann_d1")
     half = (
-        np.einsum("pailjk->palijk", d2)
-        + np.einsum("palim,pmjk->palijk", d1, cj.gamma)
-        + np.einsum("plim,pamjk->palijk", cj.gamma, d1)
+        np.einsum("pailjk->palijk", cj.d2)
+        + np.einsum("palim,pmjk->palijk", cj.d1, cj.comp)
+        + np.einsum("plim,pamjk->palijk", cj.comp, cj.d1)
     )
     return half - half.swapaxes(3, 4)
 
 
 def ricci_data(
     cc: CurvatureComponents,
-    inv: InverseMetricJet,
-    cj: ChristoffelJet | None = None,
+    inv: Jet,
+    cj: Jet | None = None,
     with_d1: bool = False,
 ) -> RicciData:
     s = np.einsum("pmmjk->pjk", cc.r)
@@ -198,7 +175,7 @@ def cov_deriv_endo(comp, d1, gamma) -> np.ndarray:
     )
 
 
-def cov_deriv(kind: str, comp, d1, cj: ChristoffelJet) -> np.ndarray:
+def cov_deriv(kind: str, comp, d1, cj: Jet) -> np.ndarray:
     fns = {
         "oneform": cov_deriv_oneform,
         "vector": cov_deriv_vector,
@@ -206,7 +183,7 @@ def cov_deriv(kind: str, comp, d1, cj: ChristoffelJet) -> np.ndarray:
     }
     if kind not in fns:
         raise ValueError(f"cov_deriv kind must be one of {sorted(fns)}, got {kind!r}")
-    return fns[kind](comp, d1, cj.gamma)
+    return fns[kind](comp, d1, cj.comp)
 
 
 class PointGeometry:
@@ -227,11 +204,11 @@ class PointGeometry:
         self.metric = metric.jet(self.pts, order=order)
 
     @cached_property
-    def inv(self) -> InverseMetricJet:
+    def inv(self) -> Jet:
         return inverse_metric(self.metric)
 
     @cached_property
-    def christoffel(self) -> ChristoffelJet:
+    def christoffel(self) -> Jet:
         return christoffel(self.metric, self.inv)
 
     @cached_property
@@ -254,4 +231,4 @@ class PointGeometry:
 
     @property
     def gamma(self) -> np.ndarray:
-        return self.christoffel.gamma
+        return self.christoffel.comp

@@ -1,6 +1,7 @@
 """Config parsing, report rendering, command dispatch, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +403,29 @@ def test_overflowing_polynomials_never_pass(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code, _, _ = run_main(capsys, "verify", "--config", config_file(tmp_path, payload))
     assert code != 0
+
+
+@pytest.mark.parametrize("output", ["json", "pretty"])
+def test_non_finite_residuals_fail_by_name(tmp_path, capsys, output):
+    huge = {"terms": [{"c": 1e300, "e": [3, 0]}]}
+    payload = dict(MINIMAL, connection={"raw": {"f1": huge, "u": [huge, 0]}},
+                   points={"count": 5, "seed": 1})
+    path = config_file(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        code, out, err = run_main(capsys, "verify", "--config", path, "--output", output)
+    assert code == 1 and err == ""
+    if output == "pretty":
+        assert "non_finite_checks:" in out
+        return
+    report = json.loads(out)
+    assert report["pass"] is False and "diagnosis" not in report
+    curvature = ["curvature_antisymmetry", "curvature_formula_vs_direct"]
+    assert report["non_finite_checks"] == curvature
+    for check in report["checks"]:
+        named = check["check"] in curvature
+        assert (check["residual"] is None) == named
+        assert check["pass"] is not named
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

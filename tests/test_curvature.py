@@ -1,7 +1,11 @@
 """Closed-form curvature of the deformed connection against a direct oracle."""
 
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affconn import (
     BadParams,
@@ -21,10 +25,11 @@ from affconn import (
     preset_manifold,
     random_spec,
 )
+from affconn import connection, levi_civita
 from affconn.cases import RicciOperatorEndoField
-from affconn.curvature import GROUPS, eta_helpers, exterior_2du, mu_tensor, r0
-from affconn.fields import PolynomialExpr, random_polynomial
-from conftest import rel_err
+from affconn.curvature import GROUPS, _jein, eta_helpers, exterior_2du, mu_tensor, r0
+from affconn.fields import Jet, PolynomialEndoField, PolynomialExpr, random_polynomial
+from conftest import central_diff, rel_err
 
 x1 = PolynomialExpr.coordinate(2, 0)
 x2 = PolynomialExpr.coordinate(2, 1)
@@ -255,3 +260,87 @@ def test_diagnose_is_deterministic(bumpy2):
     a = diagnose(bumpy2.chart, bumpy2.metric, spec, pts, corrupt=Corruption("r0_mu"))
     b = diagnose(bumpy2.chart, bumpy2.metric, spec, pts, corrupt=Corruption("r0_mu"))
     assert a == b
+
+
+# ------------------------------------------------------------ the oracle's jets
+
+# operand kinds: s scalar field, v one-form, e endomorphism, c constant matrix
+JEIN_SPECS = {
+    "pi,pkj->pkij": "ve",
+    "pkm,pm->pk": "ev",
+    "pmi,pmj->pij": "ee",
+    "pji->pij": "e",
+    "p,pij,pk->pkij": "sev",
+    "pim,pmk,pk->pi": "eev",
+    "pi,kj->pkij": "vc",
+    "pkm,mj->pkj": "ec",
+    "pi,ij,pj->p": "vcv",
+}
+# Factors have at most 3 terms with |c| <= 1 and |x| <= 1, so each is at most
+# 3 and an output entry (up to 3 factors, up to 2 summed indices over n <= 3)
+# at most 9 * 27 = 243.  Central differences with h = 1e-6 then carry a
+# rounding error of about eps * 243 / 1e-6 ~ 5e-8 and a truncation error
+# below 1e-10, so 5e-7 leaves a 10x margin; a dropped product-rule term is
+# off by O(1).
+JEIN_TOL = 5e-7
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(JEIN_SPECS)), st.sampled_from([2, 3]), st.data())
+def test_jein_derivative_matches_central_differences(spec, n, data):
+    poly = st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 2)] * n), st.floats(-1.0, 1.0)),
+        max_size=3,
+    ).map(lambda terms: PolynomialExpr(n, terms))
+    fields = {
+        "s": lambda: PolynomialScalarField(n, data.draw(poly)),
+        "v": lambda: PolynomialOneFormField(n, [data.draw(poly) for _ in range(n)]),
+        "e": lambda: PolynomialEndoField(
+            n, [[data.draw(poly) for _ in range(n)] for _ in range(n)]
+        ),
+        "c": lambda: np.array(
+            data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
+        ).reshape(n, n),
+    }
+    operands = [fields[kind]() for kind in JEIN_SPECS[spec]]
+    pts = np.array(
+        data.draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+                           min_size=1, max_size=4))
+    )
+
+    def jets(q):
+        out = []
+        for o in operands:
+            if isinstance(o, np.ndarray):
+                out.append(o)
+            elif isinstance(o, PolynomialScalarField):
+                sj = o.jet(q)
+                out.append(Jet(sj.value, sj.grad))
+            else:
+                out.append(o.jet(q))
+        return out
+
+    got = _jein(spec, *jets(pts))
+    # a product of three factors may round in another order than einsum's
+    want = np.einsum(spec, *[getattr(j, "comp", j) for j in jets(pts)])
+    assert rel_err(got.comp, want) <= 4 * np.finfo(float).eps
+    assert rel_err(got.d1, central_diff(lambda q: _jein(spec, *jets(q)).comp, pts)) < JEIN_TOL
+
+
+def _code_names(code) -> set:
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= _code_names(const)
+    return names
+
+
+def test_oracle_shares_no_helper_with_the_formula_path():
+    # the library path keeps its own hand-written derivatives
+    for module in (connection, levi_civita):
+        assert "_jein" not in inspect.getsource(module)
+    shared = {
+        "sharp", "split_phi", "inverse_metric", "christoffel",
+        "eta_helpers", "mu_tensor", "PointFrame",
+    }
+    assert not _code_names(curvature_direct.__code__) & shared

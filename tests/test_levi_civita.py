@@ -97,8 +97,8 @@ def test_inverse_metric_jets(bumpy2):
 def test_christoffel_jets_and_symmetry(bumpy2):
     pts = bumpy2.chart.sample(4, 7)
     cj = christoffel(bumpy2.metric.jet(pts, 3))
-    assert np.array_equal(cj.gamma, cj.gamma.swapaxes(2, 3))  # exact lower symmetry
-    fd1 = central_diff(lambda q: christoffel(bumpy2.metric.jet(q, 1)).gamma, pts)
+    assert np.array_equal(cj.comp, cj.comp.swapaxes(2, 3))  # exact lower symmetry
+    fd1 = central_diff(lambda q: christoffel(bumpy2.metric.jet(q, 1)).comp, pts)
     assert rel_err(cj.d1, fd1) < 1e-8
     fd2 = central_diff(lambda q: christoffel(bumpy2.metric.jet(q, 2)).d1, pts)
     assert rel_err(cj.d2, fd2) < 1e-7
@@ -108,11 +108,11 @@ def test_christoffel_jet_order_gates(bumpy2):
     pts = bumpy2.chart.sample(2, 8)
     cj = christoffel(bumpy2.metric.jet(pts, 1))
     with pytest.raises(JetOrderUnsupported):
-        cj.require_d1("curvature")
+        cj.require_order(1, "curvature")
     cj2 = christoffel(bumpy2.metric.jet(pts, 2))
-    cj2.require_d1("curvature")
+    cj2.require_order(1, "curvature")
     with pytest.raises(JetOrderUnsupported):
-        cj2.require_d2("curvature derivative")
+        cj2.require_order(2, "curvature derivative")
 
 
 def test_riemann_antisymmetry_and_derivative(bumpy2):
