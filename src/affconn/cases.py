@@ -533,15 +533,15 @@ def _reduced_gamma(preset: CasePreset, frame) -> np.ndarray:
         return np.einsum("pkm,pm->pk", ginv, comp)
 
     if preset.id == "13b":
-        return gamma - np.einsum("pi,kj->pkij", u, eye)
+        return gamma - np.einsum("pi,kj->pkij", u, eye, order="F")
     if preset.id == "14b":
-        return gamma + np.einsum("pj,ki->pkij", u, eye)
+        return gamma + np.einsum("pj,ki->pkij", u, eye, order="F")
     if preset.id == "17":
         w = frame.u1.comp
         return (
             gamma
-            + np.einsum("pi,kj->pkij", w, eye)
-            + np.einsum("pj,ki->pkij", w, eye)
+            + np.einsum("pi,kj->pkij", w, eye, order="F")
+            + np.einsum("pj,ki->pkij", w, eye, order="F")
         )
 
     out = gamma
@@ -576,15 +576,15 @@ def _reduced_gamma(preset: CasePreset, frame) -> np.ndarray:
     elif preset.phi_mode == "identity":
         out = (
             out
-            + np.einsum("pj,ki->pkij", u, eye)
+            + np.einsum("pj,ki->pkij", u, eye, order="F")
             - np.einsum("pij,pk->pkij", g, sharp_of(u))
         )
 
     if preset.f1 != 0.0:
         w = frame.u1.comp
         rec = (
-            np.einsum("pi,kj->pkij", w, eye)
-            + np.einsum("pj,ki->pkij", w, eye)
+            np.einsum("pi,kj->pkij", w, eye, order="F")
+            + np.einsum("pj,ki->pkij", w, eye, order="F")
             - np.einsum("pij,pk->pkij", g, sharp_of(w))
         )
         out = out - preset.f1 * rec
@@ -722,9 +722,9 @@ def verify_case(
         s_skew = s - s.swapaxes(1, 2)
         r_reduced = (
             frame.geo.riemann.r
-            + np.einsum("pik,lj->plijk", s, eye)
-            - np.einsum("pjk,li->plijk", s, eye)
-            + np.einsum("pij,lk->plijk", s_skew, eye)
+            + np.einsum("pik,lj->plijk", s, eye, order="F")
+            - np.einsum("pjk,li->plijk", s, eye, order="F")
+            + np.einsum("pij,lk->plijk", s_skew, eye, order="F")
         )
         r_formula, _ = curvature_formula(frame)
         r_direct = curvature_direct(manifold.chart, manifold.metric, spec, frame.geo.pts)

@@ -4,7 +4,9 @@ Configs are JSON.  Reports are emitted on stdout, as JSON (default) or an
 indented text rendering; every float is printed with 17 significant digits
 and dictionary keys are sorted, so a report is byte-stable for a fixed
 config and seed.  Exit codes: 0 all checks pass, 1 a residual exceeded its
-tolerance or was not finite, 2 configuration or usage error.
+tolerance or was not finite (``verify``; ``tensors`` and ``ablate`` exit 1
+only on a non-finite tensor or residual, which they render as null and
+name), 2 configuration or usage error.
 
 Config schema::
 
@@ -79,7 +81,7 @@ _CONVENTIONS = {
     "torsion": "t[k][i][j] = T~^k_ij",
     "nabla_g": "q[i][j][k] = (nabla~_{d_i} g)(d_j, d_k)",
     "curvature": "r[l][i][j][k] = d_l component of R~(d_i, d_j) d_k",
-    "residual": "max|a - b| / max(1, max|a|, max|b|)",
+    "residual": "max over points p of max|a_p - b_p| / max(1, max|a_p|, max|b_p|)",
 }
 
 _DEFAULT_TOLERANCES = {
@@ -495,28 +497,36 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
     return (0 if ok else 1), report
 
 
+def _nulled(arr) -> list:
+    """``arr`` as nested lists, each NaN or inf entry as None (JSON null)."""
+    arr = np.asarray(arr, dtype=float)
+    return np.where(np.isfinite(arr), arr, None).tolist()
+
+
 def cmd_tensors(config: RunConfig) -> tuple[int, dict]:
     chart, metric = config.manifold.chart, config.manifold.metric
     spec, pts = config.spec, config.points
-    frame = evaluate_spec(chart, metric, spec, pts, order=needed_order(spec))
-    t_direct = torsion_direct(frame.gamma_tilde)
-    q_direct = nonmetricity_direct(frame.gamma_tilde, frame.geo.metric)
-    r_formula, _ = curvature_formula(frame)
-    r_direct = curvature_direct(chart, metric, spec, pts)
-    per_point = []
-    for p in range(pts.shape[0]):
-        per_point.append(
-            {
-                "point": pts[p],
-                "g": frame.geo.g[p],
-                "gamma": frame.geo.gamma[p],
-                "gamma_tilde": frame.gamma_tilde[p],
-                "torsion": t_direct[p],
-                "nabla_g": q_direct[p],
-                "r_formula": r_formula[p],
-                "r_direct": r_direct[p],
-            }
-        )
+    # A numeric blow-up is named below, not reported through warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        frame = evaluate_spec(chart, metric, spec, pts, order=needed_order(spec))
+        tensors = {
+            "g": frame.geo.g,
+            "gamma": frame.geo.gamma,
+            "gamma_tilde": frame.gamma_tilde,
+            "torsion": torsion_direct(frame.gamma_tilde),
+            "nabla_g": nonmetricity_direct(frame.gamma_tilde, frame.geo.metric),
+            "r_formula": curvature_formula(frame)[0],
+            "r_direct": curvature_direct(chart, metric, spec, pts),
+        }
+    non_finite = [name for name, arr in tensors.items() if not np.all(np.isfinite(arr))]
+    per_point = [
+        {"point": pts[p]}
+        | {
+            name: _nulled(arr[p]) if name in non_finite else arr[p]
+            for name, arr in tensors.items()
+        }
+        for p in range(pts.shape[0])
+    ]
     report = {
         "command": "tensors",
         "conventions": _CONVENTIONS,
@@ -524,7 +534,9 @@ def cmd_tensors(config: RunConfig) -> tuple[int, dict]:
         "connection": {"case": config.case_id, "bindings": config.bindings},
         "tensors": per_point,
     }
-    return 0, report
+    if non_finite:
+        report["non_finite_tensors"] = non_finite
+    return (1 if non_finite else 0), report
 
 
 def cmd_cases() -> tuple[int, dict]:
@@ -580,15 +592,22 @@ def cmd_cases() -> tuple[int, dict]:
 
 def cmd_ablate(config: RunConfig) -> tuple[int, dict]:
     chart, metric = config.manifold.chart, config.manifold.metric
-    result = diagnose(
-        chart,
-        metric,
-        config.spec,
-        config.points,
-        tolerance=config.tolerances["curvature"],
-    )
+    # A numeric blow-up is named below, not reported through warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = diagnose(
+            chart,
+            metric,
+            config.spec,
+            config.points,
+            tolerance=config.tolerances["curvature"],
+        )
+    finite = math.isfinite(result["residual"])
     groups = [
-        {k: row[k] for k in ("term", "contribution", "alignment", "explained_fraction")}
+        {"term": row["term"]}
+        | {
+            k: row[k] if finite else _nulled(row[k])
+            for k in ("contribution", "alignment", "explained_fraction")
+        }
         for row in result["term_table"]
         if row["kind"] == "formula_group"
     ]
@@ -597,14 +616,16 @@ def cmd_ablate(config: RunConfig) -> tuple[int, dict]:
         "conventions": _CONVENTIONS,
         "manifold": _manifold_echo(config.manifold),
         "connection": {"case": config.case_id, "bindings": config.bindings},
-        "residual": result["residual"],
+        "residual": result["residual"] if finite else None,
         "tolerance": result["tolerance"],
         "pass": result["pass"],
         "groups": groups,
         "binding_ablation": result["binding_ablation"],
         "minimal_failing_bindings": result["minimal_failing_bindings"],
     }
-    return 0, report
+    if not finite:
+        report["non_finite_checks"] = ["curvature_formula_vs_direct"]
+    return (0 if finite else 1), report
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ where U, U1, U2 are the metric sharps of u, u1, u2 and phi = phi1 + phi2 is
 the split of phi into its g-self-adjoint and g-skew parts.  Everything here
 is evaluated in the coordinate frame, batched over points.
 
-Residuals are max-abs differences normalized by max(1, max-abs of the
-compared tensors), so tolerances are scale-free across manifolds.
+Residuals are taken per point: the max-abs difference at a point over
+max(1, the max-abs of the compared tensors at that point), then the worst
+point.  Tolerances are scale-free across manifolds and across the points of
+one batch.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ __all__ = [
     "PointFrame",
     "max_abs",
     "norm_residual",
+    "point_max_abs",
+    "point_residuals",
     "sharp",
     "split_phi",
     "deformation_h",
@@ -136,10 +140,24 @@ def max_abs(*arrays) -> float:
     return float(np.max([np.max(np.abs(a)) for a in arrays if a.size], initial=0.0))
 
 
+def point_max_abs(a: np.ndarray) -> np.ndarray:
+    """max|a_p| per point p: a reduction over every axis but the first, so a
+    points-last array is never copied."""
+    return np.max(np.abs(a), axis=tuple(range(1, a.ndim)), initial=0.0)
+
+
+def point_residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max|a_p - b_p| / max(1, max|a_p|, max|b_p|) for each point p; NaN where
+    a_p or b_p holds NaN or inf."""
+    scale = np.maximum(np.maximum(point_max_abs(a), point_max_abs(b)), 1.0)
+    return point_max_abs(a - b) / scale
+
+
 def norm_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """max|a - b| / max(1, max|a|, max|b|); non-finite if a or b holds NaN
-    or inf."""
-    return max_abs(a - b) / max(1.0, max_abs(a, b))
+    """The worst per-point residual, max_p of ``point_residuals``; each point
+    is scaled by its own tensors, so a large entry at one point cannot hide
+    an error at another.  Non-finite if a or b holds NaN or inf."""
+    return float(np.max(point_residuals(a, b), initial=0.0))
 
 
 def sharp(eta: Jet, inv: Jet) -> Jet:
@@ -213,8 +231,8 @@ def _h_terms(g, u, u1, u2, f1, f2, split, U, U1, U2):
     n = g.shape[-1]
     eye = np.eye(n)
     rec = (
-        np.einsum("pi,kj->pkij", u1, eye)
-        + np.einsum("pj,ki->pkij", u1, eye)
+        np.einsum("pi,kj->pkij", u1, eye, order="F")
+        + np.einsum("pj,ki->pkij", u1, eye, order="F")
         - np.einsum("pij,pk->pkij", g, U1)
     )
     return {
@@ -234,7 +252,10 @@ def deformation_h(
     terms = _h_terms(g, u, u1, u2, f1, f2, split, U, U1, U2)
     if corrupt is not None and corrupt.name in terms:
         terms[corrupt.name] = corrupt.factor * terms[corrupt.name]
-    return sum(terms.values())
+    h = np.zeros_like(terms["h_u_phi1"])  # sum()'s order and bits, one buffer
+    for term in terms.values():
+        h += term
+    return h
 
 
 def torsion_direct(gamma_tilde: np.ndarray) -> np.ndarray:

@@ -27,10 +27,12 @@ from .connection import (
     evaluate_spec,
     max_abs,
     norm_residual,
+    point_max_abs,
+    point_residuals,
     sharp,
 )
 from .errors import BadParams
-from .fields import Chart, Jet
+from .fields import Chart, Jet, points_last
 from .levi_civita import (
     PointGeometry,
     cov_deriv_endo,
@@ -210,9 +212,9 @@ def curvature_formula(
         "pik,pl->plik", big_phi, big_u1
     )
     inner_f1 = (
-        np.einsum("pij,lk->plijk", du1, eye)
-        - np.einsum("pjk,li->plijk", helpers_u1.beta, eye)
-        + np.einsum("pik,lj->plijk", helpers_u1.beta, eye)
+        np.einsum("pij,lk->plijk", du1, eye, order="F")
+        - np.einsum("pjk,li->plijk", helpers_u1.beta, eye, order="F")
+        + np.einsum("pik,lj->plijk", helpers_u1.beta, eye, order="F")
         - np.einsum("pjk,pil->plijk", g, helpers_u1.bvec)
         + np.einsum("pik,pjl->plijk", g, helpers_u1.bvec)
         + np.einsum("pj,plik->plijk", u, r0_phix_u1)
@@ -229,8 +231,12 @@ def curvature_formula(
     groups["f2_block"] = f2[:, None, None, None, None] * inner_f2
 
     u1_u1 = np.einsum("pm,pm->p", u1, big_u1)
-    r0_x_u1_u1 = u1_u1[:, None, None] * eye[None] - np.einsum("pi,pl->pli", u1, big_u1)
-    r0_x_y_u1 = np.einsum("pj,li->plij", u1, eye) - np.einsum("pi,lj->plij", u1, eye)
+    r0_x_u1_u1 = np.multiply(u1_u1[:, None, None], eye, order="F") - np.einsum(
+        "pi,pl->pli", u1, big_u1
+    )
+    r0_x_y_u1 = np.einsum("pj,li->plij", u1, eye, order="F") - np.einsum(
+        "pi,lj->plij", u1, eye, order="F"
+    )
     inner_f1sq = (
         np.einsum("pjk,pli->plijk", g, r0_x_u1_u1)
         - np.einsum("pik,plj->plijk", g, r0_x_u1_u1)
@@ -246,7 +252,7 @@ def curvature_formula(
     # R0(X, U2)U1 - u2(X) U1, as a [p, l, i] vector-valued slot.
     u2_u1 = np.einsum("pm,pm->p", u2, big_u1)
     vec_f1f2 = (
-        u2_u1[:, None, None] * eye[None]
+        np.multiply(u2_u1[:, None, None], eye, order="F")
         - np.einsum("pi,pl->pli", u1, big_u2)
         - np.einsum("pi,pl->pli", u2, big_u1)
     )
@@ -256,8 +262,8 @@ def curvature_formula(
     groups["f1_f2"] = (f1 * f2)[:, None, None, None, None] * inner_f1f2
 
     rec = (
-        np.einsum("pj,lk->pljk", u1, eye)
-        + np.einsum("pk,lj->pljk", u1, eye)
+        np.einsum("pj,lk->pljk", u1, eye, order="F")
+        + np.einsum("pk,lj->pljk", u1, eye, order="F")
         - np.einsum("pjk,pl->pljk", g, big_u1)
     )
     groups["xf1_block"] = -np.einsum("pi,pljk->plijk", gf1, rec)
@@ -268,7 +274,9 @@ def curvature_formula(
 
     if corrupt is not None and corrupt.name in groups:
         groups[corrupt.name] = corrupt.factor * groups[corrupt.name]
-    total = sum(groups.values())
+    total = np.zeros_like(groups["riemann"])  # sum()'s order and bits, one buffer
+    for group in groups.values():
+        total += group
     return total, groups
 
 
@@ -294,19 +302,19 @@ def _jein_dspecs(spec: str) -> tuple:
     )
 
 
-def _jein(spec: str, *operands) -> Jet:
+def _jein(spec: str, *operands, order: str = "K") -> Jet:
     """Product rule for an einsum over jets: the value is the einsum of the
     values, the derivative one einsum per ``Jet`` operand with that operand's
-    1-jet in its place.  Plain arrays are constants."""
+    1-jet in its place.  Plain arrays are constants; ``order`` is einsum's."""
     vals = [o.comp if isinstance(o, Jet) else o for o in operands]
     d1 = None
     for t, dspec in enumerate(_jein_dspecs(spec)):
         if isinstance(operands[t], Jet):
             args = vals.copy()
             args[t] = operands[t].d1
-            term = np.einsum(dspec, *args)
+            term = np.einsum(dspec, *args, order=order)
             d1 = term if d1 is None else d1 + term
-    return Jet(np.einsum(spec, *vals), d1)
+    return Jet(np.einsum(spec, *vals, order=order), d1)
 
 
 def curvature_direct(
@@ -343,9 +351,9 @@ def curvature_direct(
     else:
         phi = spec.phi.jet(pts)
 
-    ginv_v = np.linalg.inv(g.comp)
-    ginv_a = ginv_v[:, None]
-    ginv = Jet(ginv_v, -(ginv_a @ (g.d1 @ ginv_a)))
+    ginv_v = points_last(np.linalg.inv(g.comp))
+    dg_ginv = np.einsum("pkim,pmj->pkij", g.d1, ginv_v)
+    ginv = Jet(ginv_v, -np.einsum("pim,pkmj->pkij", ginv_v, dg_ginv))
     low = 0.5 * (_jein("pimj->pmij", dg) + _jein("pjmi->pmij", dg) - dg)
     gamma = _jein("pkm,pmij->pkij", ginv, low)
 
@@ -354,7 +362,7 @@ def curvature_direct(
     phi1 = _jein("pim,pmk->pki", p1, ginv)
     phi2 = phi - phi1  # raising Phi1 + Phi2 = Phi gives back phi
     big_u, big_u1, big_u2 = (_jein("pkm,pm->pk", ginv, w) for w in (u, u1, u2))
-    u1_eye = _jein("pi,kj->pkij", u1, eye)
+    u1_eye = _jein("pi,kj->pkij", u1, eye, order="F")
     rec = u1_eye + _jein("pkji->pkij", u1_eye) - _jein("pij,pk->pkij", g, big_u1)
     # each H addend up to its sign, keyed by fault-injection name
     h = {
@@ -366,9 +374,11 @@ def curvature_direct(
     }
     if corrupt is not None and corrupt.name in h:
         h[corrupt.name] = corrupt.factor * h[corrupt.name]
-    gt = (
-        gamma + h["h_u_phi1"] - h["h_u_phi2"] - h["h_phi1_u"] - h["h_f1"] - h["h_f2"]
-    )
+    gt = gamma + h["h_u_phi1"]  # one buffer per level, summed left to right
+    comp, d1 = gt.comp, gt.d1
+    for name in ("h_u_phi2", "h_phi1_u", "h_f1", "h_f2"):
+        comp -= h[name].comp
+        d1 -= h[name].d1
     half = np.einsum("piljk->plijk", gt.d1) + np.einsum("plim,pmjk->plijk", gt.comp, gt.comp)
     return half - half.swapaxes(2, 3)
 
@@ -392,21 +402,19 @@ def compare_curvature(
     """Formula vs direct oracle at each point; corruption (if any) is routed
     to whichever path owns the named term."""
     formula, groups, direct = _run_both(chart, metric_field, spec, pts, corrupt)
-    reports = []
     pts = chart.require_inside(pts)
-    for p in range(pts.shape[0]):
-        res = norm_residual(formula[p : p + 1], direct[p : p + 1])
-        contribs = {name: max_abs(arr[p : p + 1]) for name, arr in groups.items()}
-        reports.append(
-            CurvatureReport(
-                point=pts[p],
-                formula=formula[p],
-                direct=direct[p],
-                residual=res,
-                term_contributions=contribs,
-            )
+    residuals = point_residuals(formula, direct)
+    contribs = {name: point_max_abs(arr) for name, arr in groups.items()}
+    return [
+        CurvatureReport(
+            point=pts[p],
+            formula=formula[p],
+            direct=direct[p],
+            residual=float(residuals[p]),
+            term_contributions={name: float(c[p]) for name, c in contribs.items()},
         )
-    return reports
+        for p in range(pts.shape[0])
+    ]
 
 
 def _route(corrupt: Corruption | None):
@@ -452,8 +460,8 @@ def diagnose(
     its clean value; an H term's candidate is the direct oracle's response to
     doubling that term.  ``explained_fraction`` is 1 - ||D - c*C||^2/||D||^2
     for the best scalar c, so a single corrupted term scores ~1.  A failing
-    comparison also triggers a greedy minimal-failing-configuration search
-    over zeroed field bindings.
+    comparison with a finite residual also triggers a greedy
+    minimal-failing-configuration search over zeroed field bindings.
     """
     formula, _, direct = _run_both(chart, metric_field, spec, pts, corrupt)
     diff = formula - direct
@@ -506,7 +514,8 @@ def diagnose(
         "binding_ablation": [],
         "minimal_failing_bindings": [],
     }
-    if not ok:
+    # a non-finite residual has no size to shrink: there is nothing to search
+    if not ok and np.isfinite(residual):
         for name in BINDING_NAMES:
             res = _global_residual(
                 chart, metric_field, spec.with_zeroed(name), pts, corrupt

@@ -8,7 +8,15 @@ closed-form preset metrics ship hand-written derivatives.
 Array layout conventions (shared by the whole package):
 
 - A batch of m points in an n-dimensional chart is an (m, n) array; the batch
-  axis always leads.
+  axis always leads in indexing.  In memory it is the other way round: every
+  batched array the package computes from the points stores the point axis
+  last (stride one item), seen through the view ``np.moveaxis(a, -1, 0)``,
+  so einsum's inner loops run over points instead of over 2-4 tensor slots.
+  einsum's default ``order='K'`` carries the layout into its outputs.  An
+  einsum or ufunc that mixes a batched operand with a point-free constant
+  (the identity) has no layout to carry, so it passes ``order="F"``: first
+  axis fastest, which puts the points innermost.  Callers must not assume
+  C-contiguity; ``batch_zeros`` and ``points_last`` make new arrays.
 - Derivative indices come first, in the order the derivatives were taken:
   one-form ``d1[p, j, i] = d_j eta_i``; endomorphism ``d1[p, k, i, j] =
   d_k phi^i_j`` where ``comp[p, i, j] = phi^i_j`` acts as a matrix on column
@@ -53,6 +61,8 @@ __all__ = [
     "preset_manifold",
     "evaluate_jets",
     "as_points",
+    "batch_zeros",
+    "points_last",
     "monomials_up_to",
     "random_polynomial",
     "poly_from_json",
@@ -60,6 +70,25 @@ __all__ = [
 
 _DOMAIN_SLACK = 1e-12
 _SPD_RATIO = 1e-10
+
+
+def _points_first_view(arr: np.ndarray) -> np.ndarray:
+    """``arr`` with its last axis, the points, moved to the front: the
+    ``np.moveaxis(arr, -1, 0)`` view, at a fraction of its call cost."""
+    last = arr.ndim - 1
+    return arr.transpose((last, *range(last)))
+
+
+def batch_zeros(m: int, shape: tuple) -> np.ndarray:
+    """Zeros of shape (m, *shape), stored points-last."""
+    return _points_first_view(np.zeros(shape + (m,)))
+
+
+def points_last(arr: np.ndarray) -> np.ndarray:
+    """A points-last copy of the batched array ``arr``, same shape."""
+    out = batch_zeros(arr.shape[0], arr.shape[1:])
+    out[...] = arr
+    return out
 
 
 def as_points(p, n: int) -> np.ndarray:
@@ -177,7 +206,7 @@ class PolynomialExpr:
         return not self.terms
 
     def eval(self, pts) -> np.ndarray:
-        out = _eval_polynomials([self], as_points(pts, self.n))[:, 0]
+        out = _eval_polynomials([self], as_points(pts, self.n))[0]
         return out[0] if np.ndim(pts) == 1 else out
 
     def deriv(self, i: int) -> "PolynomialExpr":
@@ -249,19 +278,20 @@ class PolynomialExpr:
 
 
 def _eval_polynomials(exprs, pts: np.ndarray) -> np.ndarray:
-    """The polynomials ``exprs`` at an (m, n) batch, as (m, len(exprs)) columns.
+    """The polynomials ``exprs`` at an (m, n) batch, as (len(exprs), m) rows.
 
     Their coefficients fill one matrix over the sorted union of their
     monomials, the monomials come from one power table ``x_i^k``, and one
-    matmul gives every column.  Polynomials with equal terms share a matrix
-    column, so they evaluate bit-identically.
+    matmul gives every row.  Polynomials with equal terms share a matrix
+    row, so they evaluate bit-identically.  Each row is contiguous over
+    the points: the jets are views of it, stored points-last.
     """
     m, n = pts.shape
     col: dict[tuple, int] = {}
     cols = [col.setdefault(tuple(e.terms.items()), len(col)) for e in exprs]
     basis = sorted({mono for key in col for mono, _ in key})
     if not basis:
-        return np.zeros((m, len(exprs)))
+        return np.zeros((len(exprs), m))
     row = {mono: r for r, mono in enumerate(basis)}
     coeffs = [0.0] * (len(col) * len(basis))
     for at, key in zip(range(0, len(coeffs), len(basis)), col):
@@ -269,9 +299,9 @@ def _eval_polynomials(exprs, pts: np.ndarray) -> np.ndarray:
             coeffs[at + row[mono]] = coeff
     # the power table holds only the exponents that occur
     levels, level = np.unique(basis, return_inverse=True)
-    power = pts[:, :, None] ** levels
-    mono = np.prod(power[:, np.arange(n), level.reshape(len(basis), n)], axis=2)
-    return (mono @ np.reshape(coeffs, (len(col), len(basis))).T)[:, cols]
+    power = pts.T[:, None, :] ** levels[:, None]
+    mono = np.prod(power[np.arange(n), level.reshape(len(basis), n)], axis=1)
+    return (np.reshape(coeffs, (len(col), len(basis))) @ mono)[cols]
 
 
 def poly_from_json(n: int, obj, where: str = "polynomial") -> PolynomialExpr:
@@ -375,10 +405,11 @@ class PointJets:
 
 def _poly_jets(comps, shape: tuple, order: int, pts: np.ndarray) -> list:
     """Partials of rank 0..``order`` of the components ``comps`` (C order of
-    ``shape``): rank r is (m, n^r, *shape), slot (k_1..k_r, *idx) = d_k1..d_kr
-    comps[idx].  Slots differentiate along the sorted multi-index, so permuted
-    slots name one polynomial and read one column: mixed partials commute and
-    a symmetric grid stays symmetric, bit for bit."""
+    ``shape``): rank r is (m, n^r, *shape), stored points-last, slot (k_1..k_r,
+    *idx) = d_k1..d_kr comps[idx].  Slots differentiate along the sorted
+    multi-index, so permuted slots name one polynomial and read one row:
+    mixed partials commute and a symmetric grid stays symmetric, bit for
+    bit."""
     m, n = pts.shape
     exprs = []
     for rank in range(order + 1):
@@ -390,8 +421,8 @@ def _poly_jets(comps, shape: tuple, order: int, pts: np.ndarray) -> list:
     vals = _eval_polynomials(exprs, pts)
     ends = np.cumsum([n**rank * len(comps) for rank in range(order)])
     return [
-        v.reshape((m,) + (n,) * rank + shape)
-        for rank, v in enumerate(np.split(vals, ends, axis=1))
+        _points_first_view(v.reshape((n,) * rank + shape + (m,)))
+        for rank, v in enumerate(np.split(vals, ends))
     ]
 
 
@@ -483,8 +514,9 @@ class IdentityEndoField:
     def jet(self, pts) -> Jet:
         pts = as_points(pts, self.n)
         m, n = pts.shape[0], self.n
-        comp = np.broadcast_to(np.eye(n), (m, n, n)).copy()
-        return Jet(comp=comp, d1=np.zeros((m, n, n, n)))
+        comp = batch_zeros(m, (n, n))
+        comp[:] = np.eye(n)
+        return Jet(comp=comp, d1=batch_zeros(m, (n, n, n)))
 
 
 def _spd_check(comp: np.ndarray):
@@ -518,11 +550,12 @@ class ConstantMetricField:
         _check_order(order)
         pts = as_points(pts, self.n)
         m, n = pts.shape[0], self.n
-        comp = np.broadcast_to(self.matrix, (m, n, n)).copy()
+        comp = batch_zeros(m, (n, n))
+        comp[:] = self.matrix
         _spd_check(comp)
-        d2 = np.zeros((m, n, n, n, n)) if order >= 2 else None
-        d3 = np.zeros((m, n, n, n, n, n)) if order >= 3 else None
-        return Jet(comp=comp, d1=np.zeros((m, n, n, n)), d2=d2, d3=d3)
+        d2 = batch_zeros(m, (n,) * 4) if order >= 2 else None
+        d3 = batch_zeros(m, (n,) * 5) if order >= 3 else None
+        return Jet(comp=comp, d1=batch_zeros(m, (n, n, n)), d2=d2, d3=d3)
 
 
 class Sphere2MetricField:
@@ -542,18 +575,18 @@ class Sphere2MetricField:
         m = pts.shape[0]
         theta = pts[:, 0]
         r2 = self.r * self.r
-        comp = np.zeros((m, 2, 2))
+        comp = batch_zeros(m, (2, 2))
         comp[:, 0, 0] = r2
         comp[:, 1, 1] = r2 * np.sin(theta) ** 2
         _spd_check(comp)
-        d1 = np.zeros((m, 2, 2, 2))
+        d1 = batch_zeros(m, (2, 2, 2))
         d1[:, 0, 1, 1] = r2 * np.sin(2.0 * theta)
         d2 = d3 = None
         if order >= 2:
-            d2 = np.zeros((m, 2, 2, 2, 2))
+            d2 = batch_zeros(m, (2, 2, 2, 2))
             d2[:, 0, 0, 1, 1] = 2.0 * r2 * np.cos(2.0 * theta)
         if order >= 3:
-            d3 = np.zeros((m, 2, 2, 2, 2, 2))
+            d3 = batch_zeros(m, (2, 2, 2, 2, 2))
             d3[:, 0, 0, 0, 1, 1] = -4.0 * r2 * np.sin(2.0 * theta)
         return Jet(comp=comp, d1=d1, d2=d2, d3=d3)
 
@@ -578,18 +611,18 @@ class HalfPlaneMetricField:
             raise PointOutsideDomain("half-plane metric needs y > 0")
         k2 = self.k * self.k
         f = k2 / y**2
-        comp = np.zeros((m, 2, 2))
+        comp = batch_zeros(m, (2, 2))
         comp[:, 0, 0] = f
         comp[:, 1, 1] = f
         _spd_check(comp)
-        d1 = np.zeros((m, 2, 2, 2))
+        d1 = batch_zeros(m, (2, 2, 2))
         d1[:, 1, 0, 0] = d1[:, 1, 1, 1] = -2.0 * k2 / y**3
         d2 = d3 = None
         if order >= 2:
-            d2 = np.zeros((m, 2, 2, 2, 2))
+            d2 = batch_zeros(m, (2, 2, 2, 2))
             d2[:, 1, 1, 0, 0] = d2[:, 1, 1, 1, 1] = 6.0 * k2 / y**4
         if order >= 3:
-            d3 = np.zeros((m, 2, 2, 2, 2, 2))
+            d3 = batch_zeros(m, (2, 2, 2, 2, 2))
             d3[:, 1, 1, 1, 0, 0] = d3[:, 1, 1, 1, 1, 1] = -24.0 * k2 / y**5
         return Jet(comp=comp, d1=d1, d2=d2, d3=d3)
 

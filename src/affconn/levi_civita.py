@@ -12,7 +12,7 @@ Index conventions, fixed once for the whole package:
   ``(nabla_i eta)_j``, ``(nabla_i xi)^k``, ``(nabla_i phi)^k_j``.
 
 All functions are batched over a leading point axis and consume the exact
-jets produced by :mod:`affconn.fields`.
+jets produced by :mod:`affconn.fields`, stored points-last in memory.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import JetOrderUnsupported
-from .fields import Chart, Jet
+from .fields import Chart, Jet, points_last
 
 __all__ = [
     "CurvatureComponents",
@@ -55,20 +55,23 @@ class RicciData:
 
 def inverse_metric(mj: Jet) -> Jet:
     """Pointwise inverse with as many exact-derivative levels as the metric
-    jet supports, via d(g^-1) = -g^-1 (dg) g^-1, each term as two batched
-    matrix products."""
-    ginv = np.linalg.inv(mj.comp)
-    ginv_a = ginv[:, None]  # broadcasts over one derivative axis
-    d1 = -(ginv_a @ mj.d1 @ ginv_a)
+    jet supports, via d(g^-1) = -g^-1 (dg) g^-1, each product of three as
+    two two-operand einsums.  ``np.linalg.inv`` returns points-first, so
+    its result is re-laid points-last once, and every einsum after it
+    keeps that layout."""
+    ginv = points_last(np.linalg.inv(mj.comp))
+    ginv_dg = np.einsum("pim,pamj->paij", ginv, mj.d1)  # g^-1 (d_a g)
+    d1 = -np.einsum("paim,pmj->paij", ginv_dg, ginv)
     d2 = None
     if mj.d2 is not None:
         # d_a d_b g^-1 = -(d_a g^-1)(d_b g)g^-1 - g^-1(d_a d_b g)g^-1
         #               - g^-1(d_b g)(d_a g^-1)
-        ginv_ab = ginv[:, None, None]
+        dg_ginv = np.einsum("pbim,pmj->pbij", mj.d1, ginv)
+        ginv_ddg = np.einsum("pim,pabmj->pabij", ginv, mj.d2)
         d2 = (
-            -(d1[:, :, None] @ (mj.d1 @ ginv_a)[:, None])
-            - ginv_ab @ mj.d2 @ ginv_ab
-            - (ginv_a @ mj.d1)[:, None] @ d1[:, :, None]
+            -np.einsum("paim,pbmj->pabij", d1, dg_ginv)
+            - np.einsum("pabim,pmj->pabij", ginv_ddg, ginv)
+            - np.einsum("pbim,pamj->pabij", ginv_dg, d1)
         )
     return Jet(comp=ginv, d1=d1, d2=d2)
 

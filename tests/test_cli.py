@@ -405,25 +405,58 @@ def test_overflowing_polynomials_never_pass(tmp_path, capsys):
     assert code != 0
 
 
-@pytest.mark.parametrize("output", ["json", "pretty"])
-def test_non_finite_residuals_fail_by_name(tmp_path, capsys, output):
+# what each command names as non-finite on the overflowing config below
+NON_FINITE_NAMES = {
+    "verify": ("non_finite_checks", ["curvature_antisymmetry", "curvature_formula_vs_direct"]),
+    "tensors": ("non_finite_tensors", ["r_formula"]),
+    "ablate": ("non_finite_checks", ["curvature_formula_vs_direct"]),
+}
+
+
+def has_null(nested) -> bool:
+    if isinstance(nested, list):
+        return any(has_null(item) for item in nested)
+    return nested is None
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [
+        pytest.param(command, output, id=output if command == "verify" else f"{command}-{output}")
+        for command in NON_FINITE_NAMES
+        for output in ("json", "pretty")
+    ],
+)
+def test_non_finite_residuals_fail_by_name(tmp_path, capsys, command, output):
     huge = {"terms": [{"c": 1e300, "e": [3, 0]}]}
     payload = dict(MINIMAL, connection={"raw": {"f1": huge, "u": [huge, 0]}},
                    points={"count": 5, "seed": 1})
     path = config_file(tmp_path, payload)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
-        code, out, err = run_main(capsys, "verify", "--config", path, "--output", output)
+        code, out, err = run_main(capsys, command, "--config", path, "--output", output)
     assert code == 1 and err == ""
+    key, names = NON_FINITE_NAMES[command]
     if output == "pretty":
-        assert "non_finite_checks:" in out
+        assert f"{key}:" in out
         return
     report = json.loads(out)
+    assert report[key] == names
+    if command == "tensors":
+        for row in report["tensors"]:
+            for name, value in row.items():
+                if name not in names:
+                    assert not has_null(value), name
+        assert any(has_null(row[name]) for row in report["tensors"] for name in names)
+        return
     assert report["pass"] is False and "diagnosis" not in report
-    curvature = ["curvature_antisymmetry", "curvature_formula_vs_direct"]
-    assert report["non_finite_checks"] == curvature
+    if command == "ablate":
+        # a non-finite residual is not searched for a minimal failing set
+        assert report["residual"] is None
+        assert report["binding_ablation"] == [] and report["minimal_failing_bindings"] == []
+        return
     for check in report["checks"]:
-        named = check["check"] in curvature
+        named = check["check"] in names
         assert (check["residual"] is None) == named
         assert check["pass"] is not named
 

@@ -378,10 +378,11 @@ def test_transpose_torsion_vanishes_without_u(bumpy2):
 
 # ------------------------------------------------------------ evaluate_spec
 
-def test_aliased_fields_share_one_jet(bumpy2):
+@pytest.mark.parametrize("m", [3, 256])
+def test_aliased_fields_share_one_jet(bumpy2, m):
     omega = PolynomialOneFormField(2, [x2, zero2])
     spec = ConnectionSpec.build(2, u=omega, u1=omega)
-    frame = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, bumpy2.chart.sample(3, 15))
+    frame = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, bumpy2.chart.sample(m, 15))
     assert frame.u1 is frame.u
     assert frame.u2 is not frame.u
 

@@ -84,7 +84,8 @@ def test_r0_antisymmetrizes_its_vector_slots():
     assert np.array_equal(r0(flat, e1, e2, e2), e1)
 
 
-def test_exterior_derivative_layout_and_exactness():
+@pytest.mark.parametrize("m", [8, 256])
+def test_exterior_derivative_layout_and_exactness(m):
     # u = x^2 dx^1 has 2du_{12} = d_1 u_2 - d_2 u_1 = -1
     u = PolynomialOneFormField(2, [x2, zero2])
     j = u.jet(np.zeros((1, 2)))
@@ -94,7 +95,7 @@ def test_exterior_derivative_layout_and_exactness():
     # gradient one-forms are closed, and the cancellation is exact
     f = random_polynomial(2, np.random.default_rng(1), degree=4)
     df = PolynomialOneFormField(2, [f.deriv(0), f.deriv(1)])
-    pts = np.random.default_rng(2).uniform(-1, 1, size=(8, 2))
+    pts = np.random.default_rng(2).uniform(-1, 1, size=(m, 2))
     assert np.all(exterior_2du(df.jet(pts)) == 0.0)
 
 
@@ -193,6 +194,25 @@ def test_h_corruption_moves_the_oracle_only(bumpy2):
     clean_direct = curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts)
     hot_direct = curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts, corrupt=Corruption("h_f1"))
     assert max_abs(hot_direct - clean_direct) > 1e-6
+
+
+@pytest.mark.parametrize(
+    "name, params, seed",
+    [("sphere2", {"r": 1.0}, 100), ("sphere2", {"r": 3.0}, 101), ("half_plane", {"k": 1.0}, 102)],
+)
+def test_a_doubled_riemann_group_fails_on_curved_charts(name, params, seed):
+    # |R~| spans orders of magnitude across one batch on these charts; a
+    # batch-wide scale hid the doubled group below 1e-8, a per-point one
+    # does not
+    man = preset_manifold(name, params)
+    spec = random_spec(man.chart, seed)
+    pts = man.chart.sample(10, seed)
+    frame = evaluate_spec(man.chart, man.metric, spec, pts, order=needed_order(spec))
+    direct = curvature_direct(man.chart, man.metric, spec, pts)
+    clean, _ = curvature_formula(frame)
+    doubled, _ = curvature_formula(frame, corrupt=Corruption("riemann", 2.0))
+    assert norm_residual(clean, direct) <= 1e-8
+    assert norm_residual(doubled, direct) > 1e-8
 
 
 def test_unknown_corruption_term_is_rejected(bumpy2):

@@ -417,10 +417,11 @@ def test_halfplane_metric_values_and_derivatives():
         HalfPlaneMetricField(-1.0)
 
 
-def test_polynomial_metric_is_bitwise_symmetric(bumpy2):
+@pytest.mark.parametrize("m", [5, 256])
+def test_polynomial_metric_is_bitwise_symmetric(bumpy2, m):
     pm = bumpy2.metric
     assert pm.entries[0][1] is pm.entries[1][0]
-    j = pm.jet(bumpy2.chart.sample(5, 1), 3)
+    j = pm.jet(bumpy2.chart.sample(m, 1), 3)
     assert np.array_equal(j.comp, j.comp.swapaxes(1, 2))
     assert np.array_equal(j.d1, j.d1.swapaxes(2, 3))
     assert np.array_equal(j.d2, j.d2.swapaxes(1, 2))  # derivative indices
