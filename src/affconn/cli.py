@@ -58,7 +58,14 @@ from .curvature import (
     diagnose,
     needed_order,
 )
-from .errors import AffconnError, DimensionMismatch, SchemaError
+from .errors import (
+    AffconnError,
+    BadParams,
+    DimensionMismatch,
+    PointOutsideDomain,
+    SchemaError,
+    UnknownPreset,
+)
 from .fields import (
     Chart,
     Manifold,
@@ -83,6 +90,9 @@ _CONVENTIONS = {
     "curvature": "r[l][i][j][k] = d_l component of R~(d_i, d_j) d_k",
     "residual": "max over points p of max|a_p - b_p| / max(1, max|a_p|, max|b_p|)",
 }
+
+# Larger sampler counts are refused before anything is allocated.
+_MAX_POINTS = 1_000_000
 
 _DEFAULT_TOLERANCES = {
     "torsion": 1e-10,
@@ -165,7 +175,10 @@ def _parse_manifold(obj) -> Manifold:
         name = params.pop("preset")
         if not isinstance(name, str):
             raise SchemaError("manifold.preset: expected a string")
-        return preset_manifold(name, params)
+        try:
+            return preset_manifold(name, params)
+        except (BadParams, UnknownPreset) as exc:
+            raise type(exc)(f"manifold: {exc}") from None
     if "chart" not in obj or "metric" not in obj:
         raise SchemaError(
             "manifold: expected either a 'preset' or a 'chart' plus 'metric'"
@@ -251,8 +264,10 @@ def _parse_points(obj, chart: Chart) -> np.ndarray:
             raise SchemaError("points: sampler needs exactly 'count' and 'seed'")
         count = _int(obj["count"], "points.count")
         seed = _int(obj["seed"], "points.seed")
-        if count < 1:
-            raise SchemaError("points.count: expected a positive integer")
+        if not 1 <= count <= _MAX_POINTS:
+            raise SchemaError(f"points.count: expected an integer from 1 to {_MAX_POINTS}")
+        if seed < 0:
+            raise SchemaError("points.seed: expected a non-negative integer")
         return chart.sample(count, seed)
     if not isinstance(obj, list) or not obj:
         raise SchemaError("points: expected a non-empty list or a {count, seed} sampler")
@@ -261,7 +276,14 @@ def _parse_points(obj, chart: Chart) -> np.ndarray:
         if not isinstance(row, list) or len(row) != chart.n:
             raise SchemaError(f"points[{i}]: expected {chart.n} coordinates")
         rows.append([_number(x, f"points[{i}][{j}]") for j, x in enumerate(row)])
-    return chart.require_inside(np.array(rows, dtype=float))
+    pts = np.array(rows, dtype=float)
+    inside = chart.contains(pts)
+    if not np.all(inside):
+        raise PointOutsideDomain(
+            f"points[{int(np.argmin(inside))}]: outside the chart box "
+            f"{chart.lower.tolist()}..{chart.upper.tolist()}"
+        )
+    return pts
 
 
 def _parse_tolerances(obj) -> dict:

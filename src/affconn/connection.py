@@ -114,24 +114,22 @@ class ConnectionSpec:
     def with_zeroed(self, name: str) -> "ConnectionSpec":
         """Copy with one binding replaced by the zero field (ablation tool).
 
-        Zeroing ``u`` (etc.) also zeroes any alias of the same object.
+        Zeroing ``u`` (etc.) also zeroes any alias of the same object, with
+        the same zero object, so the aliases stay aliases.
         """
-        zeros = {
-            "f1": PolynomialScalarField.zero(self.n),
-            "f2": PolynomialScalarField.zero(self.n),
-            "u": PolynomialOneFormField.zero(self.n),
-            "u1": PolynomialOneFormField.zero(self.n),
-            "u2": PolynomialOneFormField.zero(self.n),
-            "phi": PolynomialEndoField.zero(self.n),
+        kinds = {
+            "f1": PolynomialScalarField,
+            "f2": PolynomialScalarField,
+            "u": PolynomialOneFormField,
+            "u1": PolynomialOneFormField,
+            "u2": PolynomialOneFormField,
+            "phi": PolynomialEndoField,
         }
-        if name not in zeros:
+        if name not in kinds:
             raise BadParams(f"no spec binding named {name!r}")
         old = getattr(self, name)
-        updates = {name: zeros[name]}
-        for other in zeros:
-            if other != name and getattr(self, other) is old:
-                updates[other] = zeros[other]
-        return replace(self, **updates)
+        zero = kinds[name].zero(self.n)
+        return replace(self, **{k: zero for k in kinds if getattr(self, k) is old})
 
 
 def max_abs(*arrays) -> float:

@@ -5,6 +5,11 @@ enough exact partial derivatives, evaluated at a batch of points.  No finite
 differences anywhere; polynomial fields differentiate term by term and the
 closed-form preset metrics ship hand-written derivatives.
 
+Polynomial fields are immutable: their component containers are tuples.
+Each one keeps a jet plan per derivative order, built from its polynomials
+on the first jet call; every call after that only applies the plan to its
+batch of points (see ``_JetPlan``).
+
 Array layout conventions (shared by the whole package):
 
 - A batch of m points in an n-dimensional chart is an (m, n) array; the batch
@@ -70,6 +75,10 @@ __all__ = [
 
 _DOMAIN_SLACK = 1e-12
 _SPD_RATIO = 1e-10
+# Curvature derivatives hold n^5 entries per point: 256 KiB at n = 8.
+_MAX_DIMENSION = 8
+# The jet plan's power table holds exponents as int64.
+_MAX_EXPONENT = np.iinfo(np.int64).max
 
 
 def _points_first_view(arr: np.ndarray) -> np.ndarray:
@@ -112,8 +121,10 @@ class Chart:
     upper: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise BadParams(f"chart dimension must be >= 2, got {self.n}")
+        if not 2 <= self.n <= _MAX_DIMENSION:
+            raise BadParams(
+                f"chart dimension must be from 2 to {_MAX_DIMENSION}, got {self.n}"
+            )
         lo = np.asarray(self.lower, dtype=float).reshape(-1)
         hi = np.asarray(self.upper, dtype=float).reshape(-1)
         if lo.shape != (self.n,) or hi.shape != (self.n,):
@@ -206,7 +217,7 @@ class PolynomialExpr:
         return not self.terms
 
     def eval(self, pts) -> np.ndarray:
-        out = _eval_polynomials([self], as_points(pts, self.n))[0]
+        (out,) = _JetPlan(self.n, (self,), (), 0).apply(as_points(pts, self.n))
         return out[0] if np.ndim(pts) == 1 else out
 
     def deriv(self, i: int) -> "PolynomialExpr":
@@ -214,13 +225,16 @@ class PolynomialExpr:
             raise BadParams(f"derivative index {i} out of range for n={self.n}")
         cached = self._derivs.get(i)
         if cached is None:
-            terms = []
-            for e, c in self.terms.items():
-                if e[i] > 0:
-                    new_e = list(e)
-                    new_e[i] -= 1
-                    terms.append((tuple(new_e), c * e[i]))
-            cached = PolynomialExpr(self.n, terms)
+            # Lowering exponent i keeps the terms sorted, distinct and
+            # nonzero, so they need no merge, sort or check.
+            cached = PolynomialExpr.__new__(PolynomialExpr)
+            cached.n = self.n
+            cached.terms = {
+                e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                for e, c in self.terms.items()
+                if e[i] > 0
+            }
+            cached._derivs = {}
             self._derivs[i] = cached
         return cached
 
@@ -277,33 +291,6 @@ class PolynomialExpr:
         return f"PolynomialExpr({self.n}, {bits})"
 
 
-def _eval_polynomials(exprs, pts: np.ndarray) -> np.ndarray:
-    """The polynomials ``exprs`` at an (m, n) batch, as (len(exprs), m) rows.
-
-    Their coefficients fill one matrix over the sorted union of their
-    monomials, the monomials come from one power table ``x_i^k``, and one
-    matmul gives every row.  Polynomials with equal terms share a matrix
-    row, so they evaluate bit-identically.  Each row is contiguous over
-    the points: the jets are views of it, stored points-last.
-    """
-    m, n = pts.shape
-    col: dict[tuple, int] = {}
-    cols = [col.setdefault(tuple(e.terms.items()), len(col)) for e in exprs]
-    basis = sorted({mono for key in col for mono, _ in key})
-    if not basis:
-        return np.zeros((len(exprs), m))
-    row = {mono: r for r, mono in enumerate(basis)}
-    coeffs = [0.0] * (len(col) * len(basis))
-    for at, key in zip(range(0, len(coeffs), len(basis)), col):
-        for mono, coeff in key:
-            coeffs[at + row[mono]] = coeff
-    # the power table holds only the exponents that occur
-    levels, level = np.unique(basis, return_inverse=True)
-    power = pts.T[:, None, :] ** levels[:, None]
-    mono = np.prod(power[np.arange(n), level.reshape(len(basis), n)], axis=1)
-    return (np.reshape(coeffs, (len(col), len(basis))) @ mono)[cols]
-
-
 def poly_from_json(n: int, obj, where: str = "polynomial") -> PolynomialExpr:
     """Parse ``{"terms": [{"c": coeff, "e": [exponents]}]}``; bare numbers
     are accepted as constants."""
@@ -328,10 +315,13 @@ def poly_from_json(n: int, obj, where: str = "polynomial") -> PolynomialExpr:
         if (
             not isinstance(e, list)
             or len(e) != n
-            or any(isinstance(k, bool) or not isinstance(k, int) or k < 0 for k in e)
+            or any(
+                isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= _MAX_EXPONENT
+                for k in e
+            )
         ):
             raise SchemaError(
-                f"{where}.terms[{idx}].e: expected {n} non-negative integers"
+                f"{where}.terms[{idx}].e: expected {n} integers from 0 to 2^63 - 1"
             )
         parsed.append((tuple(e), float(c)))
     return PolynomialExpr(n, parsed)
@@ -403,41 +393,99 @@ class PointJets:
     fields: dict
 
 
-def _poly_jets(comps, shape: tuple, order: int, pts: np.ndarray) -> list:
-    """Partials of rank 0..``order`` of the components ``comps`` (C order of
-    ``shape``): rank r is (m, n^r, *shape), stored points-last, slot (k_1..k_r,
-    *idx) = d_k1..d_kr comps[idx].  Slots differentiate along the sorted
-    multi-index, so permuted slots name one polynomial and read one row:
-    mixed partials commute and a symmetric grid stays symmetric, bit for
-    bit."""
-    m, n = pts.shape
-    exprs = []
-    for rank in range(order + 1):
-        for multi in itertools.product(range(n), repeat=rank):
-            for expr in comps:
-                for k in sorted(multi):
-                    expr = expr.deriv(k)
-                exprs.append(expr)
-    vals = _eval_polynomials(exprs, pts)
-    ends = np.cumsum([n**rank * len(comps) for rank in range(order)])
-    return [
-        _points_first_view(v.reshape((n,) * rank + shape + (m,)))
-        for rank, v in enumerate(np.split(vals, ends))
-    ]
+class _JetPlan:
+    """How to evaluate the partials of rank 0..``order`` of the components
+    ``comps`` (C order of ``shape``), worked out once from their terms.
+
+    Rank r is (m, n^r, *shape), slot (k_1..k_r, *idx) = d_k1..d_kr
+    comps[idx].  Slots differentiate along the sorted multi-index, so
+    permuted slots name one polynomial: mixed partials commute and a
+    symmetric grid stays symmetric, bit for bit.  Polynomials with equal
+    terms share one row of the coefficient matrix, which spans the sorted
+    union of their monomials, so they evaluate bit-identically too.
+
+    ``apply`` does the per-batch work: one power table ``x_i^k`` over the
+    exponents that occur, one matmul and one row gather.  Each row is
+    contiguous over the points: the jets are views of it, stored
+    points-last.
+    """
+
+    __slots__ = ("rows", "coeffs", "levels", "index", "ranks")
+
+    def __init__(self, n: int, comps, shape: tuple, order: int):
+        exprs = []
+        for rank in range(order + 1):
+            for multi in itertools.product(range(n), repeat=rank):
+                for expr in comps:
+                    for k in sorted(multi):
+                        expr = expr.deriv(k)
+                    exprs.append(expr)
+        row: dict[tuple, int] = {}
+        self.rows = np.array([row.setdefault(tuple(e.terms.items()), len(row)) for e in exprs])
+        # (start, stop, block shape) of each rank's rows
+        self.ranks, start = [], 0
+        for rank in range(order + 1):
+            stop = start + n**rank * len(comps)
+            self.ranks.append((start, stop, (n,) * rank + shape))
+            start = stop
+        basis = sorted({mono for key in row for mono, _ in key})
+        if not basis:
+            self.coeffs = None
+            return
+        column = {mono: c for c, mono in enumerate(basis)}
+        coeffs = [0.0] * (len(row) * len(basis))
+        for at, key in zip(range(0, len(coeffs), len(basis)), row):
+            for mono, coeff in key:
+                coeffs[at + column[mono]] = coeff
+        self.coeffs = np.reshape(coeffs, (len(row), len(basis)))
+        # the power table holds only the exponents that occur
+        self.levels, level = np.unique(basis, return_inverse=True)
+        self.index = (np.arange(n), level.reshape(len(basis), n))
+
+    def apply(self, pts: np.ndarray) -> list:
+        """The jets at the (m, n) batch ``pts``, one [p, ...] view per rank."""
+        m = pts.shape[0]
+        if self.coeffs is None:
+            vals = np.zeros((len(self.rows), m))
+        else:
+            power = pts.T[:, None, :] ** self.levels[:, None]
+            mono = np.prod(power[self.index], axis=1)
+            vals = (self.coeffs @ mono)[self.rows]
+        return [
+            _points_first_view(vals[start:stop].reshape(shape + (m,)))
+            for start, stop, shape in self.ranks
+        ]
 
 
 # ---------------------------------------------------------------------------
 # Field objects.  Each has .n, .kind and a jet(...) method; all jets are exact.
 
 
-class PolynomialScalarField:
+class _PlannedField:
+    """Jets of the polynomials ``_flat`` (C order of ``_shape``), through one
+    ``_JetPlan`` per order, built on first use and kept."""
+
+    def __init__(self, n: int, flat: tuple, shape: tuple):
+        self.n = n
+        self._flat = flat
+        self._shape = shape
+        self._plans: dict[int, _JetPlan] = {}
+
+    def _jets(self, pts, order: int) -> list:
+        plan = self._plans.get(order)
+        if plan is None:
+            plan = self._plans[order] = _JetPlan(self.n, self._flat, self._shape, order)
+        return plan.apply(as_points(pts, self.n))
+
+
+class PolynomialScalarField(_PlannedField):
     kind = "scalar"
 
     def __init__(self, n: int, expr: PolynomialExpr):
         if expr.n != n:
             raise DimensionMismatch("scalar field expr has wrong variable count")
-        self.n = n
         self.expr = expr
+        super().__init__(n, (expr,), ())
 
     @classmethod
     def constant(cls, n: int, c) -> "PolynomialScalarField":
@@ -452,19 +500,19 @@ class PolynomialScalarField:
         return self.expr.is_zero
 
     def jet(self, pts) -> ScalarFieldJet:
-        value, grad = _poly_jets([self.expr], (), 1, as_points(pts, self.n))
+        value, grad = self._jets(pts, 1)
         return ScalarFieldJet(value=value, grad=grad)
 
 
-class PolynomialOneFormField:
+class PolynomialOneFormField(_PlannedField):
     kind = "oneform"
 
     def __init__(self, n: int, comps):
-        comps = list(comps)
+        comps = tuple(comps)
         if len(comps) != n or any(c.n != n for c in comps):
             raise DimensionMismatch("one-form needs n component polynomials in n vars")
-        self.n = n
         self.comps = comps
+        super().__init__(n, comps, (n,))
 
     @classmethod
     def zero(cls, n: int) -> "PolynomialOneFormField":
@@ -475,20 +523,20 @@ class PolynomialOneFormField:
         return all(c.is_zero for c in self.comps)
 
     def jet(self, pts) -> Jet:
-        return Jet(*_poly_jets(self.comps, (self.n,), 1, as_points(pts, self.n)))
+        return Jet(*self._jets(pts, 1))
 
 
-class PolynomialEndoField:
+class PolynomialEndoField(_PlannedField):
     kind = "endo"
 
     def __init__(self, n: int, entries):
-        entries = [list(row) for row in entries]
+        entries = tuple(tuple(row) for row in entries)
         if len(entries) != n or any(
             len(row) != n or any(e.n != n for e in row) for row in entries
         ):
             raise DimensionMismatch("endomorphism needs an n-by-n grid of polynomials")
-        self.n = n
         self.entries = entries
+        super().__init__(n, tuple(e for row in entries for e in row), (n, n))
 
     @classmethod
     def zero(cls, n: int) -> "PolynomialEndoField":
@@ -497,11 +545,10 @@ class PolynomialEndoField:
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
+        return all(e.is_zero for e in self._flat)
 
     def jet(self, pts) -> Jet:
-        flat = [e for row in self.entries for e in row]
-        return Jet(*_poly_jets(flat, (self.n, self.n), 1, as_points(pts, self.n)))
+        return Jet(*self._jets(pts, 1))
 
 
 class IdentityEndoField:
@@ -627,7 +674,7 @@ class HalfPlaneMetricField:
         return Jet(comp=comp, d1=d1, d2=d2, d3=d3)
 
 
-class PolynomialMetricField:
+class PolynomialMetricField(_PlannedField):
     """Symmetric grid of polynomial entries; entries (i, j) and (j, i) share
     one object so all jets are symmetric to the last bit."""
 
@@ -646,15 +693,14 @@ class PolynomialMetricField:
                 if i != j and rows[j][i].terms != e.terms:
                     raise BadParams(f"metric entries ({i},{j}) and ({j},{i}) differ")
                 grid[i][j] = grid[j][i] = e
-        self.n = n
-        self.entries = grid
+        self.entries = tuple(map(tuple, grid))
+        # (i, j) and (j, i) hold one object: only the upper triangle is
+        # evaluated, and the lower one mirrors it
+        super().__init__(n, tuple(e for row in grid for e in row), (n, n))
 
     def jet(self, pts, order: int = 1) -> Jet:
         _check_order(order)
-        # (i, j) and (j, i) hold one object: only the upper triangle is
-        # evaluated, and the lower one mirrors it
-        flat = [e for row in self.entries for e in row]
-        jet = Jet(*_poly_jets(flat, (self.n, self.n), order, as_points(pts, self.n)))
+        jet = Jet(*self._jets(pts, order))
         _spd_check(jet.comp)
         return jet
 
@@ -704,10 +750,12 @@ def _bumpy_metric(n: int, eps: float, seed: int) -> PolynomialMetricField:
     return PolynomialMetricField(n, grid)
 
 
-def _int_param(params: dict, key: str, minimum: int):
+def _int_param(params: dict, key: str, minimum: int, maximum: int | None = None):
     v = params.get(key)
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < minimum:
         raise BadParams(f"preset parameter {key!r} must be an integer >= {minimum}")
+    if maximum is not None and v > maximum:
+        raise BadParams(f"preset parameter {key!r} must be at most {maximum}")
     return int(v)
 
 
@@ -736,7 +784,7 @@ def preset_manifold(name: str, params: dict | None = None) -> Manifold:
 
     if name == "euclidean":
         take({"n"})
-        n = _int_param(params, "n", 2)
+        n = _int_param(params, "n", 2, _MAX_DIMENSION)
         chart = Chart(n, [-1.5] * n, [1.5] * n)
         return Manifold(name, chart, ConstantMetricField(n), {"n": n})
     if name == "sphere2":
@@ -751,7 +799,7 @@ def preset_manifold(name: str, params: dict | None = None) -> Manifold:
         return Manifold(name, chart, HalfPlaneMetricField(k), {"k": k})
     if name == "bumpy":
         take({"n", "eps", "seed"})
-        n = _int_param(params, "n", 2)
+        n = _int_param(params, "n", 2, _MAX_DIMENSION)
         eps = _float_param(params, "eps", 0.05)
         seed = _int_param({"seed": params.get("seed", None)}, "seed", 0)
         chart = Chart(n, [-1.0] * n, [1.0] * n)

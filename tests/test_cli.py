@@ -1,12 +1,19 @@
 """Config parsing, report rendering, command dispatch, exit codes."""
 
+import contextlib
+import copy
+import io
 import json
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affconn import CaseUnknown, DimensionMismatch, SchemaError
+from affconn import CaseUnknown, DimensionMismatch, SchemaError, fields
 from affconn.cli import (
     cmd_ablate,
     cmd_cases,
@@ -43,6 +50,13 @@ RAW_BUMPY2 = {
         }
     },
     "points": {"count": 10, "seed": 9},
+}
+
+RAW_EUCLIDEAN2 = {
+    "manifold": {"preset": "euclidean", "n": 2},
+    "connection": {"raw": {"f1": 0.5, "u": [X2, 0], "u2": [0, X1], "phi": [[0, X1], [X2, 1.0]]}},
+    "points": [[0.5, -0.25], [1.0, 1.0]],
+    "tolerances": {"curvature": 1e-8},
 }
 
 
@@ -243,6 +257,42 @@ def test_verify_corruption_fails_with_diagnosis(tmp_path, capsys):
     assert report["diagnosis"]["term_table"][0]["term"] == "f2_block"
 
 
+def test_failing_verify_plans_each_field_once(tmp_path, capsys, monkeypatch):
+    # A failing verify evaluates the same fields over and over (diagnose
+    # reruns both curvature paths): each (field, order) is planned once, and
+    # every later jet call only applies that plan.
+    planned, applied, unique_calls = [], [], []
+    planning = [False]
+    unique = np.unique
+
+    class RecordedPlan(fields._JetPlan):
+        def __init__(self, n, comps, shape, order):
+            planned.append((comps, order))  # a field's own component tuple
+            planning[0] = True
+            try:
+                super().__init__(n, comps, shape, order)
+            finally:
+                planning[0] = False
+
+        def apply(self, pts):
+            applied.append(self)
+            return super().apply(pts)
+
+    def recorded_unique(*args, **kwargs):
+        unique_calls.append(planning[0])
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_JetPlan", RecordedPlan)
+    monkeypatch.setattr(np, "unique", recorded_unique)
+    path = config_file(tmp_path, RAW_BUMPY2)
+    code, _, _ = run_main(capsys, "verify", "--config", path, "--corrupt-term", "h_f1")
+    assert code == 1
+    keys = [(id(comps), order) for comps, order in planned]
+    assert len(keys) == len(set(keys))  # planned at most once per field and order
+    assert len(applied) > 5 * len(planned)  # most jet calls were warm
+    assert unique_calls and all(unique_calls)  # np.unique only while planning
+
+
 def test_verify_unknown_corrupt_term_is_usage_error(tmp_path, capsys):
     path = config_file(tmp_path, MINIMAL)
     code, out, err = run_main(capsys, "verify", "--config", path, "--corrupt-term", "wat")
@@ -396,6 +446,28 @@ def test_non_finite_config_numbers_are_rejected_with_their_path(tmp_path, capsys
     assert f"{where}: expected a finite number" in err
 
 
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"points": {"count": 10, "seed": -1}}, "points.seed: expected a non-negative integer"),
+        ({"points": {"count": 10**12, "seed": 1}}, "points.count: expected an integer from 1 to"),
+        ({"points": [[1.0, 0.0], [0.0, 1e300]]}, "points[1]: outside the chart box"),
+        ({"manifold": {"preset": "euclidean", "n": 10**20}},
+         "manifold: preset parameter 'n' must be at most 8"),
+        ({"manifold": {"preset": "euclidean", "n": 2, "extra": 1}},
+         "manifold: preset 'euclidean' got unknown parameters"),
+        ({"manifold": {"preset": "nowhere"}}, "manifold: no manifold preset named"),
+        ({"connection": {"raw": {"f1": {"terms": [{"c": 1.0, "e": [10**20, 0]}]}}}},
+         "connection.raw.f1.terms[0].e: expected 2 integers from 0 to 2^63 - 1"),
+    ],
+)
+def test_config_errors_found_by_fuzzing_name_their_path(tmp_path, capsys, patch, message):
+    path = config_file(tmp_path, dict(MINIMAL, **patch))
+    code, out, err = run_main(capsys, "verify", "--config", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_overflowing_polynomials_never_pass(tmp_path, capsys):
     huge = {"terms": [{"c": 1e300, "e": [3, 0]}]}
     payload = dict(MINIMAL, connection={"raw": {"f1": huge, "u": [huge, 0]}},
@@ -473,6 +545,78 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# What a config fuzzer writes: extreme numbers over numbers, wrongly typed
+# values anywhere.  No integer between 10**6 and 10**12: a count or dimension
+# there would be a real allocation, not a rejected config.
+EXTREME_NUMBERS = [
+    1e300, -1e300, 1e-300, 5e-324, -2.5, -1, 0, 10**12, 10**20,
+    float("nan"), float("inf"), float("-inf"),
+]
+WRONG_TYPES = ["x", "", None, True, [], {}, [1, 2, 3]]
+BAD_EXPONENTS = [[-1, 0], [1.5, 0], [1], [1, 0, 0], [True, 0], ["1", 0], [10**12, 0]]
+CONFIG_PATH = r"(config|manifold|connection|points|tolerances|output)(\.\w+|\[\d+\])*"
+
+
+def config_paths(node, path=()):
+    """Every (path, value) in a JSON tree, the root included."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from config_paths(child, path + (key,))
+
+
+def mutate(data, config):
+    """One fuzz edit of ``config`` in place: an extreme number over a number,
+    a wrongly typed value over any node, a deleted or an added key, or a bad
+    exponent list."""
+    nodes = list(config_paths(config))[1:]  # the root is never replaced
+    kind = data.draw(st.sampled_from(["number", "type", "delete", "extra", "exponent"]))
+    if kind == "extra":
+        dicts = [()] + [p for p, v in nodes if isinstance(v, dict)]
+        path = data.draw(st.sampled_from(dicts)) + ("extra",)
+    else:
+        numbers = [p for p, v in nodes if type(v) in (int, float)]
+        exponents = [p for p, _ in nodes if p[-1] == "e"]
+        paths = {"number": numbers, "exponent": exponents}.get(kind) or [p for p, _ in nodes]
+        path = data.draw(st.sampled_from(paths))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    else:
+        pool = {"number": EXTREME_NUMBERS, "exponent": BAD_EXPONENTS}.get(kind, WRONG_TYPES)
+        parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(pool)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([RAW_BUMPY2, RAW_EUCLIDEAN2]), st.integers(1, 3), st.data())
+def test_fuzzed_configs_fail_cleanly(tmp_path_factory, base, edits, data):
+    config = copy.deepcopy(base)
+    for _ in range(edits):
+        mutate(data, config)
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--config", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == ""
+        assert re.fullmatch(f"error: {CONFIG_PATH}: [^\\n]+\\n", err), err
+        return
+    assert code in (0, 1), code
+    report = json.loads(out)
+    named = set(report.get("non_finite_checks", []))
+    for check in report["checks"]:
+        if check["check"] in named:
+            assert check["residual"] is None and not check["pass"]
+        else:
+            assert math.isfinite(check["residual"])
+    assert code == (0 if report["pass"] else 1)
 
 
 # ------------------------------------------------------------ determinism

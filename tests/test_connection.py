@@ -95,6 +95,17 @@ def test_with_zeroed_follows_aliases():
     assert not solo.with_zeroed("u").u1.is_zero
 
 
+def test_with_zeroed_keeps_aliases_aliased_and_the_rest_untouched():
+    man = preset_manifold("euclidean", {"n": 3})
+    spec = random_spec(man.chart, 6)
+    spec = ConnectionSpec.build(3, f1=spec.f1, f2=spec.f2, u=spec.u, u1=spec.u,
+                                u2=spec.u2, phi=spec.phi)
+    cleared = spec.with_zeroed("u")
+    assert cleared.u.is_zero and cleared.u is cleared.u1  # one zero, one plan
+    for name in ("f1", "f2", "u2", "phi"):
+        assert getattr(cleared, name) is getattr(spec, name)
+
+
 def test_random_spec_is_reproducible_and_fully_populated():
     man = preset_manifold("euclidean", {"n": 3})
     a = random_spec(man.chart, 5)

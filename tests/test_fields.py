@@ -28,6 +28,7 @@ from affconn import (
     poly_from_json,
     preset_manifold,
     random_polynomial,
+    random_spec,
 )
 from conftest import central_diff, rel_err
 
@@ -177,6 +178,16 @@ def test_product_rule_is_exact_on_integer_polys(p, q):
         lhs = (p * q).deriv(i)
         rhs = p.deriv(i) * q + p * q.deriv(i)
         assert lhs.terms == rhs.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_polys)
+def test_derivatives_come_out_canonical(p):
+    # deriv skips the constructor: its terms must be what the constructor gives
+    for i in range(2):
+        d = p.deriv(i)
+        assert list(d.terms.items()) == list(PolynomialExpr(2, d.terms).terms.items())
+        assert d.deriv(0) is d.deriv(0)
 
 
 # ------------------------------------------------------------- JSON form
@@ -444,6 +455,58 @@ def test_polynomial_metric_rejects_asymmetric_entries():
     x = PolynomialExpr.coordinate(2, 0)
     with pytest.raises(BadParams):
         PolynomialMetricField(2, [[one, x], [z, one]])
+
+
+def test_polynomial_field_containers_are_immutable(bumpy2):
+    x = PolynomialExpr.coordinate(2, 0)
+    oneform = PolynomialOneFormField(2, [x, x])
+    endo = PolynomialEndoField(2, [[x, x], [x, x]])
+    metric = bumpy2.metric
+    assert metric.entries[0][1] is metric.entries[1][0]
+    for grid in (oneform.comps, endo.entries, endo.entries[1], metric.entries,
+                 metric.entries[1]):
+        with pytest.raises(TypeError):
+            grid[0] = x
+
+
+def rebuilt(field):
+    """The same field from new polynomial objects: nothing planned yet."""
+    n = field.n
+
+    def fresh(expr):
+        return PolynomialExpr(n, expr.terms)
+
+    if isinstance(field, PolynomialScalarField):
+        return PolynomialScalarField(n, fresh(field.expr))
+    if isinstance(field, PolynomialOneFormField):
+        return PolynomialOneFormField(n, map(fresh, field.comps))
+    rows = [[fresh(e) for e in row] for row in field.entries]
+    return type(field)(n, rows)
+
+
+@pytest.mark.parametrize(
+    "kind, order",
+    [("scalar", 1), ("oneform", 1), ("endo", 1), ("metric", 1), ("metric", 2), ("metric", 3)],
+)
+def test_warm_jet_plans_match_freshly_built_fields(bumpy3, kind, order):
+    spec = random_spec(bumpy3.chart, 30)
+    field = {"scalar": spec.f1, "oneform": spec.u, "endo": spec.phi,
+             "metric": bumpy3.metric}[kind]
+
+    def levels(f, pts):
+        if kind == "scalar":
+            jet = f.jet(pts)
+            return jet.value, jet.grad
+        return (f.jet(pts, order) if kind == "metric" else f.jet(pts)).levels
+
+    wide = bumpy3.chart.sample(256, 31)
+    levels(field, wide)  # plans the field at this order
+    # the same batch again, then other batch sizes: a plan is batch-free
+    for pts in (wide, bumpy3.chart.sample(1, 32), bumpy3.chart.sample(5, 33), wide[::-1]):
+        warm, cold = levels(field, pts), levels(rebuilt(field), pts)
+        assert len(warm) == len(cold) == (order + 1 if kind == "metric" else 2)
+        for got, want in zip(warm, cold):
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- presets
