@@ -26,7 +26,8 @@ Config schema::
 
 A polynomial is a bare number (a constant) or ``{"terms": [{"c": coeff,
 "e": [exponents]}]}``.  The sampler seed is mandatory.  Raw-spec fields
-default to zero when omitted.
+default to zero when omitted.  A tolerance, in the config or from
+``--tolerance``, is above 0 and below 2: a residual never exceeds 2.
 """
 
 from __future__ import annotations
@@ -93,6 +94,10 @@ _CONVENTIONS = {
 
 # Larger sampler counts are refused before anything is allocated.
 _MAX_POINTS = 1_000_000
+
+# A per-point residual is at most 2, since |a - b| <= 2 max(1, |a|, |b|):
+# a tolerance of 2 or more could never fail, so it would switch its check off.
+_TOLERANCE_LIMIT = 2.0
 
 _DEFAULT_TOLERANCES = {
     "torsion": 1e-10,
@@ -295,11 +300,19 @@ def _parse_tolerances(obj) -> dict:
     if extra:
         raise SchemaError(f"tolerances: unknown keys {sorted(extra)}")
     for name, val in obj.items():
-        v = _number(val, f"tolerances.{name}")
-        if not v > 0:
-            raise SchemaError(f"tolerances.{name}: expected a positive number")
-        tols[name] = v
+        where = f"tolerances.{name}"
+        tols[name] = _tolerance(_number(val, where), where)
     return tols
+
+
+def _tolerance(v: float, where: str) -> float:
+    if not math.isfinite(v):
+        raise SchemaError(f"{where}: expected a finite number")
+    if not v > 0:
+        raise SchemaError(f"{where}: expected a positive number")
+    if not v < _TOLERANCE_LIMIT:
+        raise SchemaError(f"{where}: expected a number below {_TOLERANCE_LIMIT:g}")
+    return v
 
 
 def parse_config(text: str) -> RunConfig:
@@ -659,10 +672,7 @@ def _load_config(path: str, tolerance: float | None, output_flag: str | None) ->
         text = fh.read()
     config = parse_config(text)
     if tolerance is not None:
-        if not math.isfinite(tolerance):
-            raise SchemaError("--tolerance: expected a finite number")
-        if not tolerance > 0:
-            raise SchemaError("--tolerance: expected a positive number")
+        tolerance = _tolerance(tolerance, "--tolerance")
         config.tolerances = {name: tolerance for name in config.tolerances}
     if output_flag is not None:
         config.output = output_flag
@@ -686,7 +696,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tolerance",
         type=float,
         default=None,
-        help="override every tolerance with one value",
+        help="override every tolerance with one value, above 0 and below 2",
     )
     verify.add_argument(
         "--corrupt-term",

@@ -8,7 +8,12 @@ closed-form preset metrics ship hand-written derivatives.
 Polynomial fields are immutable: their component containers are tuples.
 Each one keeps a jet plan per derivative order, built from its polynomials
 on the first jet call; every call after that only applies the plan to its
-batch of points (see ``_JetPlan``).
+batch of points (see ``_JetPlan``).  Planning lowers columns of one dense
+coefficient block and builds no derivative polynomial.
+
+Polynomial terms are checked once, where they enter: the public
+``PolynomialExpr`` constructor and ``poly_from_json``.  The package's own
+algebra keeps terms canonical and builds through ``_canonical`` unchecked.
 
 Array layout conventions (shared by the whole package):
 
@@ -31,6 +36,7 @@ Array layout conventions (shared by the whole package):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -174,19 +180,35 @@ def monomials_up_to(n: int, degree: int, min_degree: int = 0):
     return sorted(set(out))
 
 
+@functools.lru_cache(maxsize=64)
+def _monomials(n: int, degree: int, min_degree: int) -> tuple:
+    """``monomials_up_to``, enumerated once per (n, degree, min_degree)."""
+    return tuple(monomials_up_to(n, degree, min_degree))
+
+
+def _check_variables(n: int):
+    if n < 1:
+        raise BadParams(f"polynomial needs at least one variable, got n={n}")
+
+
 class PolynomialExpr:
     """Multivariate polynomial with exact term-by-term differentiation.
 
     Terms are kept in a canonical sorted order so that algebraically equal
     construction paths produce bit-identical evaluations (mixed partials of a
     polynomial commute exactly, not just to rounding).
+
+    The constructor is the trust boundary: it checks every exponent tuple,
+    merges repeats and drops zeros.  The package's own algebra (arithmetic,
+    ``deriv``, ``random_polynomial``, and ``poly_from_json`` once it has
+    checked its input) makes canonical terms itself and builds through
+    ``_canonical``, without those checks.
     """
 
     __slots__ = ("n", "terms", "_derivs")
 
     def __init__(self, n: int, terms=()):
-        if n < 1:
-            raise BadParams(f"polynomial needs at least one variable, got n={n}")
+        _check_variables(n)
         merged: dict[tuple, float] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for e, c in items:
@@ -200,17 +222,20 @@ class PolynomialExpr:
 
     @classmethod
     def zero(cls, n: int) -> "PolynomialExpr":
-        return cls(n)
+        _check_variables(n)
+        return _canonical(n, {})
 
     @classmethod
     def constant(cls, n: int, c) -> "PolynomialExpr":
-        return cls(n, [((0,) * n, c)])
+        _check_variables(n)
+        return _canonical_sums(n, {(0,) * n: float(c)})
 
     @classmethod
     def coordinate(cls, n: int, i: int) -> "PolynomialExpr":
+        _check_variables(n)
         e = [0] * n
         e[i] = 1
-        return cls(n, [(tuple(e), 1.0)])
+        return _canonical(n, {tuple(e): 1.0})
 
     @property
     def is_zero(self) -> bool:
@@ -227,15 +252,11 @@ class PolynomialExpr:
         if cached is None:
             # Lowering exponent i keeps the terms sorted, distinct and
             # nonzero, so they need no merge, sort or check.
-            cached = PolynomialExpr.__new__(PolynomialExpr)
-            cached.n = self.n
-            cached.terms = {
+            cached = self._derivs[i] = _canonical(self.n, {
                 e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
                 for e, c in self.terms.items()
                 if e[i] > 0
-            }
-            cached._derivs = {}
-            self._derivs[i] = cached
+            })
         return cached
 
     def __add__(self, other):
@@ -243,12 +264,12 @@ class PolynomialExpr:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0.0) + c
-        return PolynomialExpr(self.n, terms)
+        return _canonical_sums(self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolynomialExpr(self.n, {e: -c for e, c in self.terms.items()})
+        return _canonical(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -257,13 +278,20 @@ class PolynomialExpr:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, PolynomialExpr):
+            # a scalar: the product with the constant polynomial, term by
+            # term; zero is the zero polynomial, even against an inf term
+            s = float(other)
+            if s == 0.0:
+                return _canonical(self.n, {})
+            return _canonical_sums(self.n, {e: c * s for e, c in self.terms.items()})
         other = self._coerce(other)
         terms: dict[tuple, float] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, 0.0) + c1 * c2
-        return PolynomialExpr(self.n, terms)
+        return _canonical_sums(self.n, terms)
 
     __rmul__ = __mul__
 
@@ -291,6 +319,23 @@ class PolynomialExpr:
         return f"PolynomialExpr({self.n}, {bits})"
 
 
+def _canonical(n: int, terms: dict) -> PolynomialExpr:
+    """The polynomial over ``terms``, which must already be canonical: exponent
+    tuples of n ints, sorted and distinct, with nonzero float coefficients.
+    Nothing is checked; only the package's own algebra builds this way."""
+    expr = PolynomialExpr.__new__(PolynomialExpr)
+    expr.n = n
+    expr.terms = terms
+    expr._derivs = {}
+    return expr
+
+
+def _canonical_sums(n: int, sums: dict) -> PolynomialExpr:
+    """``_canonical`` over the sorted nonzero entries of ``sums``: checked
+    exponent tuples, each mapped to its summed float coefficient."""
+    return _canonical(n, {e: c for e, c in sorted(sums.items()) if c != 0.0})
+
+
 def poly_from_json(n: int, obj, where: str = "polynomial") -> PolynomialExpr:
     """Parse ``{"terms": [{"c": coeff, "e": [exponents]}]}``; bare numbers
     are accepted as constants."""
@@ -305,7 +350,7 @@ def poly_from_json(n: int, obj, where: str = "polynomial") -> PolynomialExpr:
     terms = obj["terms"]
     if not isinstance(terms, list):
         raise SchemaError(f"{where}.terms: expected a list")
-    parsed = []
+    merged: dict[tuple, float] = {}
     for idx, t in enumerate(terms):
         if not isinstance(t, dict) or set(t) != {"c", "e"}:
             raise SchemaError(f"{where}.terms[{idx}]: expected {{'c': num, 'e': [ints]}}")
@@ -323,8 +368,10 @@ def poly_from_json(n: int, obj, where: str = "polynomial") -> PolynomialExpr:
             raise SchemaError(
                 f"{where}.terms[{idx}].e: expected {n} integers from 0 to 2^63 - 1"
             )
-        parsed.append((tuple(e), float(c)))
-    return PolynomialExpr(n, parsed)
+        e = tuple(e)
+        merged[e] = merged.get(e, 0.0) + float(c)
+    _check_variables(n)
+    return _canonical_sums(n, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +440,86 @@ class PointJets:
     fields: dict
 
 
+def _sorted_multis(n: int, order: int):
+    """The sorted multi-indices of rank 0..``order``, rank by rank in
+    lexicographic order: how many there are; per rank from 1, the position
+    of each one's parent (itself less its last index) and that last index;
+    and, for each slot multi-index in ``itertools.product`` order, rank by
+    rank, the position of its sorted form."""
+    position = {(): 0}
+    ranks = []
+    for rank in range(1, order + 1):
+        parents, steps = [], []
+        for multi in itertools.combinations_with_replacement(range(n), rank):
+            position[multi] = len(position)
+            parents.append(position[multi[:-1]])
+            steps.append(multi[-1])
+        ranks.append((parents, steps))
+    slots = [
+        position[tuple(sorted(multi))]
+        for rank in range(order + 1)
+        for multi in itertools.product(range(n), repeat=rank)
+    ]
+    return len(position), ranks, np.array(slots)
+
+
+class _Lowering:
+    """What differentiating up to ``order`` times does to polynomials on a
+    support of monomials, whatever their coefficients.
+
+    ``basis`` is the sorted closure of the support under lowering one
+    exponent, at most ``order`` times: every derivative of a polynomial on
+    the support lives on it.  A coefficient block has one column per basis
+    monomial, in ``column`` order, plus a last column that stays zero.
+    Each step derives the blocks of one rank's sorted multi-indices from
+    their parents' at once: column j takes the parent's coefficient of the
+    monomial j + e_k (the zero column if that is not in the basis) times
+    its exponent k, the factor ``deriv`` multiplies by.
+
+    One instance serves every plan over the same (n, order, support), so
+    nothing may write to it.
+    """
+
+    __slots__ = ("basis", "column", "exponents", "multis", "steps", "slots")
+
+    def __init__(self, n: int, order: int, support: frozenset):
+        basis, frontier = set(support), support
+        for _ in range(order):
+            frontier = {
+                e[:k] + (e[k] - 1,) + e[k + 1:] for e in frontier for k in range(n) if e[k]
+            }
+            basis |= frontier
+        self.basis = tuple(sorted(basis))
+        self.column = column = {mono: j for j, mono in enumerate(self.basis)}
+        width = len(self.basis)
+        self.exponents = np.array(self.basis).reshape(width, n)
+        gather = [[width] * width for _ in range(n)]
+        factor = [[1.0] * width for _ in range(n)]
+        for j, mono in enumerate(self.basis):
+            for k in range(n):
+                source = column.get(mono[:k] + (mono[k] + 1,) + mono[k + 1:])
+                if source is not None:
+                    gather[k][j] = source
+                    factor[k][j] = float(mono[k] + 1)
+        gather, factor = np.array(gather), np.array(factor)
+        self.multis, ranks, self.slots = _sorted_multis(n, order)
+        # (first multi, stop, parents, gather, factor) of each rank's blocks
+        self.steps, first = [], 1
+        for parents, ks in ranks:
+            stop = first + len(ks)
+            self.steps.append((
+                first, stop, np.array(parents)[:, None, None],
+                gather[ks][:, None, :], factor[ks][:, None, :],
+            ))
+            first = stop
+
+
+@functools.lru_cache(maxsize=64)
+def _lowering(n: int, order: int, support: frozenset) -> _Lowering:
+    """The ``_Lowering`` of a support, built once per (n, order, support)."""
+    return _Lowering(n, order, support)
+
+
 class _JetPlan:
     """How to evaluate the partials of rank 0..``order`` of the components
     ``comps`` (C order of ``shape``), worked out once from their terms.
@@ -404,6 +531,15 @@ class _JetPlan:
     terms share one row of the coefficient matrix, which spans the sorted
     union of their monomials, so they evaluate bit-identically too.
 
+    Planning builds no derivative polynomial.  The components go into one
+    dense coefficient block over the closure of their monomials
+    (``_Lowering``, shared by every plan over the same support and order),
+    and each sorted multi-index's block comes from its parent's by a column
+    lowering: the same products, in the same order, as the ``deriv`` chain
+    along that multi-index.  Rows are numbered by first occurrence in slot
+    order, which for sorted multi-indices in lexicographic order is their
+    order in the stacked blocks.
+
     ``apply`` does the per-batch work: one power table ``x_i^k`` over the
     exponents that occur, one matmul and one row gather.  Each row is
     contiguous over the points: the jets are views of it, stored
@@ -413,34 +549,49 @@ class _JetPlan:
     __slots__ = ("rows", "coeffs", "levels", "index", "ranks")
 
     def __init__(self, n: int, comps, shape: tuple, order: int):
-        exprs = []
-        for rank in range(order + 1):
-            for multi in itertools.product(range(n), repeat=rank):
-                for expr in comps:
-                    for k in sorted(multi):
-                        expr = expr.deriv(k)
-                    exprs.append(expr)
-        row: dict[tuple, int] = {}
-        self.rows = np.array([row.setdefault(tuple(e.terms.items()), len(row)) for e in exprs])
+        count = len(comps)
         # (start, stop, block shape) of each rank's rows
         self.ranks, start = [], 0
         for rank in range(order + 1):
-            stop = start + n**rank * len(comps)
+            stop = start + n**rank * count
             self.ranks.append((start, stop, (n,) * rank + shape))
             start = stop
-        basis = sorted({mono for key in row for mono, _ in key})
-        if not basis:
+        low = _lowering(n, order, frozenset().union(*(expr.terms for expr in comps)))
+        if not low.basis:
+            self.rows = np.zeros(start, dtype=int)
             self.coeffs = None
             return
-        column = {mono: c for c, mono in enumerate(basis)}
-        coeffs = [0.0] * (len(row) * len(basis))
-        for at, key in zip(range(0, len(coeffs), len(basis)), row):
-            for mono, coeff in key:
-                coeffs[at + column[mono]] = coeff
-        self.coeffs = np.reshape(coeffs, (len(row), len(basis)))
+        width = len(low.basis) + 1
+        dense = []
+        for expr in comps:
+            if len(expr.terms) == len(low.basis):  # its terms span the basis
+                dense.append([*expr.terms.values(), 0.0])
+            else:
+                coeffs = [0.0] * width
+                for mono, c in expr.terms.items():
+                    coeffs[low.column[mono]] = c
+                dense.append(coeffs)
+        blocks = np.zeros((low.multis, count, width))
+        blocks[0] = dense
+        comp = np.arange(count)[:, None]
+        # an overflow gives inf without a warning, as Python's float product
+        # in ``deriv`` does
+        with np.errstate(over="ignore"):
+            for first, stop, parents, gather, factor in low.steps:
+                blocks[first:stop, :, :-1] = blocks[parents, comp, gather] * factor
+        # one row per distinct polynomial, in first-occurrence order
+        data, size = blocks.tobytes(), width * 8
+        seen: dict[bytes, int] = {}
+        offsets = [seen.setdefault(data[at:at + size], at) for at in range(0, len(data), size)]
+        # first occurrences come in increasing order, so a row's number is
+        # the rank of its content's first occurrence
+        distinct = np.array(list(seen.values()))
+        rows = np.searchsorted(distinct, offsets).reshape(low.multis, count)
+        self.rows = rows[low.slots].reshape(-1)
+        self.coeffs = blocks.reshape(-1, width)[distinct // size, :-1]
         # the power table holds only the exponents that occur
-        self.levels, level = np.unique(basis, return_inverse=True)
-        self.index = (np.arange(n), level.reshape(len(basis), n))
+        self.levels = np.unique(low.exponents)
+        self.index = (np.arange(n), np.searchsorted(self.levels, low.exponents))
 
     def apply(self, pts: np.ndarray) -> list:
         """The jets at the (m, n) batch ``pts``, one [p, ...] view per rank."""
@@ -719,16 +870,17 @@ class Manifold:
 
 def random_polynomial(n: int, rng, degree: int = 3, min_degree: int = 0):
     """Dense random polynomial, coefficients uniform in [-1, 1]."""
-    monos = monomials_up_to(n, degree, min_degree)
-    coeffs = rng.uniform(-1.0, 1.0, size=len(monos))
-    return PolynomialExpr(n, zip(monos, coeffs))
+    _check_variables(n)
+    monos = _monomials(n, degree, min_degree)
+    coeffs = rng.uniform(-1.0, 1.0, size=len(monos)).tolist()
+    return _canonical(n, {e: c for e, c in zip(monos, coeffs) if c != 0.0})
 
 
 def _normalized(expr: PolynomialExpr) -> PolynomialExpr:
     mass = sum(abs(c) for c in expr.terms.values())
     if mass == 0.0:
         return expr
-    return PolynomialExpr(expr.n, {e: c / mass for e, c in expr.terms.items()})
+    return _canonical_sums(expr.n, {e: c / mass for e, c in expr.terms.items()})
 
 
 def _bumpy_metric(n: int, eps: float, seed: int) -> PolynomialMetricField:

@@ -541,6 +541,34 @@ def test_tolerance_flag_rejects_non_finite_values(tmp_path, capsys, value):
     assert "--tolerance: expected a finite number" in err
 
 
+def test_tolerance_that_no_residual_can_exceed_is_refused(tmp_path, capsys):
+    # a per-point residual is at most 2, so such a tolerance would pass a
+    # doubled Riemann group
+    payload = dict(RAW_BUMPY2, tolerances={"curvature": 1e300})
+    path = config_file(tmp_path, payload)
+    code, out, err = run_main(capsys, "verify", "--config", path, "--corrupt-term", "riemann")
+    assert code == 2 and out == ""
+    assert err == "error: tolerances.curvature: expected a number below 2\n"
+    code, _, _ = run_main(capsys, "verify", "--config", config_file(tmp_path, RAW_BUMPY2),
+                          "--corrupt-term", "riemann")
+    assert code == 1
+
+
+@pytest.mark.parametrize("value", ["2", "2.0", "1e300"])
+def test_tolerance_flag_rejects_values_of_two_or_more(tmp_path, capsys, value):
+    path = config_file(tmp_path, MINIMAL)
+    code, out, err = run_main(capsys, "verify", "--config", path, "--tolerance", value)
+    assert code == 2 and out == ""
+    assert err == "error: --tolerance: expected a number below 2\n"
+
+
+def test_tolerance_flag_accepts_values_below_two(tmp_path, capsys):
+    path = config_file(tmp_path, MINIMAL)
+    code, out, _ = run_main(capsys, "verify", "--config", path, "--tolerance", "1.5")
+    assert code == 0
+    assert all(c["tolerance"] == 1.5 for c in json.loads(out)["checks"])
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

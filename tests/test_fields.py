@@ -1,5 +1,7 @@
 """Charts, polynomial algebra, field jets, metric presets."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,8 @@ from affconn import (
     Sphere2MetricField,
     UnknownPreset,
     evaluate_jets,
+    evaluate_spec,
+    fields,
     monomials_up_to,
     poly_from_json,
     preset_manifold,
@@ -188,6 +192,119 @@ def test_derivatives_come_out_canonical(p):
         d = p.deriv(i)
         assert list(d.terms.items()) == list(PolynomialExpr(2, d.terms).terms.items())
         assert d.deriv(0) is d.deriv(0)
+
+
+# The package's own algebra builds canonical terms without the constructor's
+# checks; each result must be what the validating constructor makes of the
+# same raw terms, in content and in order.
+
+json_terms = st.lists(
+    st.fixed_dictionaries({
+        "c": st.one_of(st.integers(-3, 3), st.floats(-1e3, 1e3), st.sampled_from([5e-324, 1e300])),
+        "e": st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    }),
+    max_size=8,
+)
+
+
+def validated(n, raw_terms):
+    return list(PolynomialExpr(n, raw_terms).terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 1), json_terms, json_terms,
+       st.floats(-1e3, 1e3))
+def test_trusted_constructions_match_the_validating_constructor(seed, degree, low, a, b, s):
+    n = 3
+    p = random_polynomial(n, np.random.default_rng(seed), degree, min_degree=low)
+    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=len(monomials_up_to(n, degree, low)))
+    assert list(p.terms.items()) == validated(n, zip(monomials_up_to(n, degree, low), coeffs))
+    q = poly_from_json(n, {"terms": a})
+    r = poly_from_json(n, {"terms": b})
+    for expr, raw in ((q, a), (r, b)):
+        assert list(expr.terms.items()) == validated(n, [(t["e"], t["c"]) for t in raw])
+    assert list(poly_from_json(n, s).terms.items()) == validated(n, [((0,) * n, s)])
+    pt, qt, rt = (list(x.terms.items()) for x in (p, q, r))
+    products = [(tuple(map(sum, zip(e1, e2))), c1 * c2) for e1, c1 in qt for e2, c2 in rt]
+    cases = [
+        (q + r, qt + rt),
+        (q - r, qt + [(e, -c) for e, c in rt]),
+        (-p, [(e, -c) for e, c in pt]),
+        (q * r, products),
+        (s * q, [(e, c * s) for e, c in qt]),
+        (q * s, [(e, c * s) for e, c in qt]),
+        (p + s, pt + [((0,) * n, s)]),
+        (s - p, [((0,) * n, s)] + [(e, -c) for e, c in pt]),
+        (PolynomialExpr.constant(n, s), [((0,) * n, s)]),
+        (PolynomialExpr.coordinate(n, 1), [((0, 1, 0), 1.0)]),
+        (PolynomialExpr.zero(n), []),
+    ]
+    for got, raw in cases:
+        assert list(got.terms.items()) == validated(n, raw)
+        assert all(type(c) is float for c in got.terms.values())
+        assert all(type(k) is int for e in got.terms for k in e)
+
+
+def test_validating_constructor_keeps_its_checks():
+    for bad in ([((1,), 1.0)], [((1, -1), 1.0)], [((1, 0, 0), 1.0)]):
+        with pytest.raises(BadParams) as exc:
+            PolynomialExpr(2, bad)
+        assert "bad exponent tuple" in str(exc.value)
+    for make in (lambda: PolynomialExpr(0), lambda: PolynomialExpr.zero(0),
+                 lambda: PolynomialExpr.constant(0, 1.0), lambda: poly_from_json(0, {"terms": []}),
+                 lambda: random_polynomial(0, np.random.default_rng(0))):
+        with pytest.raises(BadParams) as exc:
+            make()
+        assert "at least one variable" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"terms": [{"c": float("inf"), "e": [1, 0]}]}, "u[0].terms[0].c: expected a finite number"),
+        (float("nan"), "u[0]: expected a finite number"),
+        ({"terms": [{"c": 1.0, "e": [2**63, 0]}]},
+         "u[0].terms[0].e: expected 2 integers from 0 to 2^63 - 1"),
+        ({"terms": [{"c": 1.0, "e": [0, True]}]},
+         "u[0].terms[0].e: expected 2 integers from 0 to 2^63 - 1"),
+    ],
+)
+def test_poly_from_json_still_checks_before_trusting(obj, message):
+    with pytest.raises(SchemaError) as exc:
+        poly_from_json(2, obj, where="u[0]")
+    assert str(exc.value) == message
+
+
+def test_random_specs_build_and_plan_without_validating_or_deriving(monkeypatch):
+    # random_spec, the bumpy metric and their first jets use only the trusted
+    # path: no validating constructor, no derivative polynomial, and one
+    # monomial enumeration per (n, degree, min_degree)
+    inits, derivs, enumerated = [], [], []
+    init, deriv, enumerate_monomials = (
+        PolynomialExpr.__init__, PolynomialExpr.deriv, fields.monomials_up_to)
+
+    def counted_init(self, *args):
+        inits.append(args)
+        init(self, *args)
+
+    def counted_deriv(self, i):
+        derivs.append(i)
+        return deriv(self, i)
+
+    def counted_enumeration(*key):
+        enumerated.append(key)
+        return enumerate_monomials(*key)
+
+    monkeypatch.setattr(PolynomialExpr, "__init__", counted_init)
+    monkeypatch.setattr(PolynomialExpr, "deriv", counted_deriv)
+    monkeypatch.setattr(fields, "monomials_up_to", counted_enumeration)
+    fields._monomials.cache_clear()
+    man = preset_manifold("bumpy", {"n": 3, "eps": 0.05, "seed": 4})
+    for seed in range(3):
+        spec = random_spec(man.chart, seed)
+        evaluate_spec(man.chart, man.metric, spec, man.chart.sample(5, seed))
+    assert inits == [] and derivs == []
+    assert sorted(enumerated) == [(3, 3, 0), (3, 3, 1)]
 
 
 # ------------------------------------------------------------- JSON form
@@ -358,6 +475,69 @@ def test_field_jets_match_the_per_slot_reference(n, exact, order, data):
             assert np.array_equal(got, want)
         else:
             assert np.max(np.abs(got - want)) <= FLOAT_JET_TOL
+
+
+def derivative_chain_plan(n, comps, order):
+    """The jet planner that builds the derivative polynomial of every slot
+    along its sorted multi-index: rows, coefficient matrix, exponent levels
+    and level index."""
+    exprs = []
+    for rank in range(order + 1):
+        for multi in itertools.product(range(n), repeat=rank):
+            for expr in comps:
+                for k in sorted(multi):
+                    expr = expr.deriv(k)
+                exprs.append(expr)
+    row = {}
+    rows = np.array([row.setdefault(tuple(e.terms.items()), len(row)) for e in exprs])
+    basis = sorted({mono for key in row for mono, _ in key})
+    if not basis:
+        return rows, None, None, None
+    column = {mono: c for c, mono in enumerate(basis)}
+    coeffs = [0.0] * (len(row) * len(basis))
+    for at, key in zip(range(0, len(coeffs), len(basis)), row):
+        for mono, coeff in key:
+            coeffs[at + column[mono]] = coeff
+    levels, level = np.unique(basis, return_inverse=True)
+    return rows, np.reshape(coeffs, (len(row), len(basis))), levels, level.reshape(len(basis), n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 3), st.data())
+def test_jet_plans_match_the_derivative_chain_planner(n, order, data):
+    coeff = st.one_of(st.integers(-4, 4).map(float), st.floats(-1e3, 1e3),
+                      st.sampled_from([5e-324, 1e300, -1e300]))
+    poly = st.lists(
+        st.tuples(st.sampled_from(monomials_up_to(n, 4)), coeff), max_size=MAX_TERMS
+    ).map(lambda ts: PolynomialExpr(n, ts))
+    comps = data.draw(st.lists(poly, min_size=1, max_size=4))
+    if data.draw(st.booleans()):  # zero polynomials
+        comps += [PolynomialExpr.zero(n)] * data.draw(st.integers(1, 2))
+    if data.draw(st.booleans()):  # repeated components: one object, and equal terms
+        comps += [comps[0], PolynomialExpr(n, comps[-1].terms)]
+    if data.draw(st.booleans()):  # a gradient one-form u_i = d_i f
+        comps += [comps[0].deriv(i) for i in range(n)]
+    if data.draw(st.booleans()):  # an exponent near the int64 limit
+        huge = (2**63 - 1 - data.draw(st.integers(0, 3)),) + (1,) * (n - 1)
+        comps.append(PolynomialExpr(n, [(huge, data.draw(coeff)), ((0,) * n, 1.0)]))
+    if data.draw(st.booleans()):  # a symmetric metric grid: (i, j) and (j, i) one object
+        upper = iter(itertools.cycle(comps))
+        grid = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                grid[i][j] = grid[j][i] = next(upper)
+        comps = [e for row in grid for e in row]
+    plan = fields._JetPlan(n, tuple(comps), (len(comps),), order)
+    rows, coeffs, levels, level = derivative_chain_plan(n, comps, order)
+    assert np.array_equal(plan.rows, rows) and plan.rows.dtype == rows.dtype
+    if coeffs is None:
+        assert plan.coeffs is None
+        return
+    assert plan.coeffs.dtype == coeffs.dtype and plan.coeffs.flags.c_contiguous
+    assert np.array_equal(plan.coeffs, coeffs)
+    assert np.array_equal(plan.levels, levels)
+    assert np.array_equal(plan.index[0], np.arange(n))
+    assert np.array_equal(plan.index[1], level)
 
 
 def test_oneform_component_count_is_checked():
