@@ -50,6 +50,8 @@ from .fields import (
     PolynomialEndoField,
     PolynomialOneFormField,
     PolynomialScalarField,
+    _evaluation_context,
+    _memo,
 )
 from .levi_civita import cov_deriv_oneform
 
@@ -65,6 +67,17 @@ __all__ = [
     "build_case",
     "verify_case",
 ]
+
+
+def _geo_jet(field, geo, part) -> Jet:
+    """The jet ``part(split)`` of a g-adjoint part of ``field.base``, from
+    the split of its raw jet over ``geo``; memoised per run like any field's
+    jet."""
+
+    def compute():
+        return part(split_phi(field.base.jet(geo.pts), geo.metric, geo.inv))
+
+    return _memo("jet", (field, geo.metric_field), geo.pts, geo.order, compute)
 
 
 class SymmetricPartEndoField:
@@ -88,9 +101,7 @@ class SymmetricPartEndoField:
         return self.base.is_zero
 
     def jet_geo(self, geo) -> Jet:
-        raw = self.base.jet(geo.pts)
-        split = split_phi(raw, geo.metric, geo.inv)
-        return Jet(comp=split.phi1, d1=split.phi1_d1)
+        return _geo_jet(self, geo, lambda split: Jet(comp=split.phi1, d1=split.phi1_d1))
 
 
 class SkewPartEndoField:
@@ -110,9 +121,7 @@ class SkewPartEndoField:
         return self.base.is_zero
 
     def jet_geo(self, geo) -> Jet:
-        raw = self.base.jet(geo.pts)
-        split = split_phi(raw, geo.metric, geo.inv)
-        return Jet(comp=split.phi2, d1=split.phi2_d1)
+        return _geo_jet(self, geo, lambda split: Jet(comp=split.phi2, d1=split.phi2_d1))
 
 
 class RicciOperatorEndoField:
@@ -129,13 +138,16 @@ class RicciOperatorEndoField:
         self.n = n
 
     def jet_geo(self, geo) -> Jet:
-        ricci = geo.ricci
-        if ricci.q_d1 is None:
-            raise JetOrderUnsupported(
-                "Ricci-operator jets need metric order 3, geometry has "
-                f"order {geo.order}"
-            )
-        return Jet(comp=ricci.q, d1=ricci.q_d1)
+        def compute():
+            ricci = geo.ricci
+            if ricci.q_d1 is None:
+                raise JetOrderUnsupported(
+                    "Ricci-operator jets need metric order 3, geometry has "
+                    f"order {geo.order}"
+                )
+            return Jet(comp=ricci.q, d1=ricci.q_d1)
+
+        return _memo("jet", (self, geo.metric_field), geo.pts, geo.order, compute)
 
 
 @dataclass(frozen=True)
@@ -678,78 +690,79 @@ def verify_case(
     preset = get_case(case_id)
     spec = build_case(case_id, bindings, manifold)
     order = 2 if preset.id == "17" else 1
-    frame = evaluate_spec(manifold.chart, manifold.metric, spec, pts, order=order)
+    with _evaluation_context():
+        frame = evaluate_spec(manifold.chart, manifold.metric, spec, pts, order=order)
 
-    residuals: dict[str, float] = {}
-    tolerances: dict[str, float] = {}
-    reported: dict[str, float] = {}
-    notes: list[str] = []
+        residuals: dict[str, float] = {}
+        tolerances: dict[str, float] = {}
+        reported: dict[str, float] = {}
+        notes: list[str] = []
 
-    def gate(name: str, value: float, tol: float):
-        residuals[name] = value
-        tolerances[name] = tol
+        def gate(name: str, value: float, tol: float):
+            residuals[name] = value
+            tolerances[name] = tol
 
-    reduced = _reduced_gamma(preset, frame)
-    gate("reduced_connection", norm_residual(reduced, frame.gamma_tilde), tolerance)
+        reduced = _reduced_gamma(preset, frame)
+        gate("reduced_connection", norm_residual(reduced, frame.gamma_tilde), tolerance)
 
-    q_direct = nonmetricity_direct(frame.gamma_tilde, frame.geo.metric)
-    q_general = nonmetricity_predicted(
-        frame.geo.g, frame.u1.comp, frame.u2.comp, frame.f1.value, frame.f2.value
-    )
-    gate("metricity_general", norm_residual(q_direct, q_general), tolerance)
-
-    stated = _stated_metricity(preset, frame)
-    stated_res = norm_residual(q_direct, stated)
-    if preset.prose_deviation is None:
-        gate("metricity_stated", stated_res, tolerance)
-    else:
-        reported["metricity_stated"] = stated_res
-        notes.append(f"case {preset.id}: {preset.prose_deviation} "
-                     f"(stated-law residual {stated_res:.3e})")
-
-    t_direct = torsion_direct(frame.gamma_tilde)
-    t_law = torsion_predicted(frame.u.comp, frame.phi.comp)
-    gate("torsion_law", norm_residual(t_direct, t_law), tolerance)
-    if preset.symmetric:
-        gate("torsion_zero", norm_residual(t_direct, np.zeros_like(t_direct)), tolerance)
-
-    if preset.id == "17":
-        omega = frame.u1
-        s = cov_deriv_oneform(omega.comp, omega.d1, frame.geo.gamma) - np.einsum(
-            "pi,pj->pij", omega.comp, omega.comp
+        q_direct = nonmetricity_direct(frame.gamma_tilde, frame.geo.metric)
+        q_general = nonmetricity_predicted(
+            frame.geo.g, frame.u1.comp, frame.u2.comp, frame.f1.value, frame.f2.value
         )
-        eye = np.eye(frame.geo.n)
-        s_skew = s - s.swapaxes(1, 2)
-        r_reduced = (
-            frame.geo.riemann.r
-            + np.einsum("pik,lj->plijk", s, eye, order="F")
-            - np.einsum("pjk,li->plijk", s, eye, order="F")
-            + np.einsum("pij,lk->plijk", s_skew, eye, order="F")
-        )
-        r_formula, _ = curvature_formula(frame)
-        r_direct = curvature_direct(manifold.chart, manifold.metric, spec, frame.geo.pts)
-        gate("curvature_reduced_vs_formula", norm_residual(r_reduced, r_formula), tolerance)
-        gate(
-            "curvature_reduced_vs_direct",
-            norm_residual(r_reduced, r_direct),
-            curvature_tolerance,
-        )
-        gate("s_skew_identity", norm_residual(s_skew, exterior_2du(omega)), tolerance)
+        gate("metricity_general", norm_residual(q_direct, q_general), tolerance)
 
-    aliases: dict[str, bool] = {}
-    slots = {"u": frame.u, "u1": frame.u1, "u2": frame.u2}
-    for left, right in preset.alias_pairs:
-        aliases[f"{left}_is_{right}"] = slots[left] is slots[right]
+        stated = _stated_metricity(preset, frame)
+        stated_res = norm_residual(q_direct, stated)
+        if preset.prose_deviation is None:
+            gate("metricity_stated", stated_res, tolerance)
+        else:
+            reported["metricity_stated"] = stated_res
+            notes.append(f"case {preset.id}: {preset.prose_deviation} "
+                         f"(stated-law residual {stated_res:.3e})")
 
-    if preset.requires_curved and max_abs(frame.phi.comp) == 0.0:
-        notes.append(
-            f"case {preset.id}: the Ricci operator vanishes on this metric, "
-            "so the preset degenerates to the Levi-Civita connection"
-        )
+        t_direct = torsion_direct(frame.gamma_tilde)
+        t_law = torsion_predicted(frame.u.comp, frame.phi.comp)
+        gate("torsion_law", norm_residual(t_direct, t_law), tolerance)
+        if preset.symmetric:
+            gate("torsion_zero", norm_residual(t_direct, np.zeros_like(t_direct)), tolerance)
 
-    passed = all(
-        residuals[name] <= tolerances[name] for name in residuals
-    ) and all(aliases.values())
+        if preset.id == "17":
+            omega = frame.u1
+            s = cov_deriv_oneform(omega.comp, omega.d1, frame.geo.gamma) - np.einsum(
+                "pi,pj->pij", omega.comp, omega.comp
+            )
+            eye = np.eye(frame.geo.n)
+            s_skew = s - s.swapaxes(1, 2)
+            r_reduced = (
+                frame.geo.riemann.r
+                + np.einsum("pik,lj->plijk", s, eye, order="F")
+                - np.einsum("pjk,li->plijk", s, eye, order="F")
+                + np.einsum("pij,lk->plijk", s_skew, eye, order="F")
+            )
+            r_formula, _ = curvature_formula(frame)
+            r_direct = curvature_direct(manifold.chart, manifold.metric, spec, frame.geo.pts)
+            gate("curvature_reduced_vs_formula", norm_residual(r_reduced, r_formula), tolerance)
+            gate(
+                "curvature_reduced_vs_direct",
+                norm_residual(r_reduced, r_direct),
+                curvature_tolerance,
+            )
+            gate("s_skew_identity", norm_residual(s_skew, exterior_2du(omega)), tolerance)
+
+        aliases: dict[str, bool] = {}
+        slots = {"u": frame.u, "u1": frame.u1, "u2": frame.u2}
+        for left, right in preset.alias_pairs:
+            aliases[f"{left}_is_{right}"] = slots[left] is slots[right]
+
+        if preset.requires_curved and max_abs(frame.phi.comp) == 0.0:
+            notes.append(
+                f"case {preset.id}: the Ricci operator vanishes on this metric, "
+                "so the preset degenerates to the Levi-Civita connection"
+            )
+
+        passed = all(
+            residuals[name] <= tolerances[name] for name in residuals
+        ) and all(aliases.values())
     return CaseCheckResult(
         case_id=preset.id,
         name=preset.name,

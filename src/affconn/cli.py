@@ -74,6 +74,7 @@ from .fields import (
     PolynomialMetricField,
     PolynomialOneFormField,
     PolynomialScalarField,
+    _evaluation_context,
     poly_from_json,
     preset_manifold,
 )
@@ -468,67 +469,69 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
             )
         corruption = Corruption(corrupt_term, 2.0)
 
-    chart, metric = config.manifold.chart, config.manifold.metric
-    spec, pts = config.spec, config.points
-    # A numeric blow-up fails its checks by name below, not through warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Each consumer applies the corruption only if it owns the named term.
-        frame = evaluate_spec(
-            chart, metric, spec, pts, order=needed_order(spec), corrupt=corruption
-        )
+    # One context for the whole command: diagnose reuses its first evaluation.
+    with _evaluation_context():
+        chart, metric = config.manifold.chart, config.manifold.metric
+        spec, pts = config.spec, config.points
+        # A numeric blow-up fails its checks by name below, not through warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Each consumer applies the corruption only if it owns the named term.
+            frame = evaluate_spec(
+                chart, metric, spec, pts, order=needed_order(spec), corrupt=corruption
+            )
 
-        t_direct = torsion_direct(frame.gamma_tilde)
-        t_law = torsion_predicted(frame.u.comp, frame.phi.comp)
-        q_direct = nonmetricity_direct(frame.gamma_tilde, frame.geo.metric)
-        q_law = nonmetricity_predicted(
-            frame.geo.g, frame.u1.comp, frame.u2.comp, frame.f1.value, frame.f2.value
-        )
-        tp_metric = transpose_torsion_from_metric(t_direct, frame.geo.g, frame.geo.ginv)
-        tp_closed = transpose_torsion_closed(
-            frame.u.comp, frame.split, frame.u_sharp.comp
-        )
-        r_formula, _ = curvature_formula(frame, corrupt=corruption)
-        r_direct = curvature_direct(chart, metric, spec, pts, corrupt=corruption)
-        # np.max, unlike max(), keeps a NaN residual
-        antisym = float(np.max([norm_residual(r_formula, -r_formula.swapaxes(2, 3)),
-                                norm_residual(r_direct, -r_direct.swapaxes(2, 3))]))
+            t_direct = torsion_direct(frame.gamma_tilde)
+            t_law = torsion_predicted(frame.u.comp, frame.phi.comp)
+            q_direct = nonmetricity_direct(frame.gamma_tilde, frame.geo.metric)
+            q_law = nonmetricity_predicted(
+                frame.geo.g, frame.u1.comp, frame.u2.comp, frame.f1.value, frame.f2.value
+            )
+            tp_metric = transpose_torsion_from_metric(t_direct, frame.geo.g, frame.geo.ginv)
+            tp_closed = transpose_torsion_closed(
+                frame.u.comp, frame.split, frame.u_sharp.comp
+            )
+            r_formula, _ = curvature_formula(frame, corrupt=corruption)
+            r_direct = curvature_direct(chart, metric, spec, pts, corrupt=corruption)
+            # np.max, unlike max(), keeps a NaN residual
+            antisym = float(np.max([norm_residual(r_formula, -r_formula.swapaxes(2, 3)),
+                                    norm_residual(r_direct, -r_direct.swapaxes(2, 3))]))
 
-    tols = config.tolerances
-    rows = [
-        ("torsion_law", norm_residual(t_direct, t_law), tols["torsion"]),
-        ("metricity_law", norm_residual(q_direct, q_law), tols["metricity"]),
-        ("transpose_torsion_law", norm_residual(tp_metric, tp_closed), tols["transpose"]),
-        ("curvature_antisymmetry", antisym, tols["antisymmetry"]),
-        ("curvature_formula_vs_direct", norm_residual(r_formula, r_direct), tols["curvature"]),
-    ]
-    # a non-finite residual has no number to report: it fails and is named
-    non_finite = [name for name, res, _ in rows if not math.isfinite(res)]
-    checks = [
-        {
-            "check": name,
-            "residual": res if name not in non_finite else None,
-            "tolerance": tol,
-            "pass": bool(res <= tol),
+        tols = config.tolerances
+        rows = [
+            ("torsion_law", norm_residual(t_direct, t_law), tols["torsion"]),
+            ("metricity_law", norm_residual(q_direct, q_law), tols["metricity"]),
+            ("transpose_torsion_law", norm_residual(tp_metric, tp_closed), tols["transpose"]),
+            ("curvature_antisymmetry", antisym, tols["antisymmetry"]),
+            ("curvature_formula_vs_direct", norm_residual(r_formula, r_direct), tols["curvature"]),
+        ]
+        # a non-finite residual has no number to report: it fails and is named
+        non_finite = [name for name, res, _ in rows if not math.isfinite(res)]
+        checks = [
+            {
+                "check": name,
+                "residual": res if name not in non_finite else None,
+                "tolerance": tol,
+                "pass": bool(res <= tol),
+            }
+            for name, res, tol in rows
+        ]
+        ok = all(c["pass"] for c in checks)
+        report = {
+            "command": "verify",
+            "conventions": _CONVENTIONS,
+            "manifold": _manifold_echo(config.manifold),
+            "connection": {"case": config.case_id, "bindings": config.bindings},
+            "points": config.points,
+            "corrupt_term": corrupt_term,
+            "checks": checks,
+            "pass": ok,
         }
-        for name, res, tol in rows
-    ]
-    ok = all(c["pass"] for c in checks)
-    report = {
-        "command": "verify",
-        "conventions": _CONVENTIONS,
-        "manifold": _manifold_echo(config.manifold),
-        "connection": {"case": config.case_id, "bindings": config.bindings},
-        "points": config.points,
-        "corrupt_term": corrupt_term,
-        "checks": checks,
-        "pass": ok,
-    }
-    if non_finite:
-        report["non_finite_checks"] = non_finite
-    elif not ok:
-        report["diagnosis"] = diagnose(
-            chart, metric, spec, pts, tolerance=tols["curvature"], corrupt=corruption
-        )
+        if non_finite:
+            report["non_finite_checks"] = non_finite
+        elif not ok:
+            report["diagnosis"] = diagnose(
+                chart, metric, spec, pts, tolerance=tols["curvature"], corrupt=corruption
+            )
     return (0 if ok else 1), report
 
 
@@ -542,7 +545,7 @@ def cmd_tensors(config: RunConfig) -> tuple[int, dict]:
     chart, metric = config.manifold.chart, config.manifold.metric
     spec, pts = config.spec, config.points
     # A numeric blow-up is named below, not reported through warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _evaluation_context(), np.errstate(over="ignore", invalid="ignore"):
         frame = evaluate_spec(chart, metric, spec, pts, order=needed_order(spec))
         tensors = {
             "g": frame.geo.g,
@@ -628,7 +631,7 @@ def cmd_cases() -> tuple[int, dict]:
 def cmd_ablate(config: RunConfig) -> tuple[int, dict]:
     chart, metric = config.manifold.chart, config.manifold.metric
     # A numeric blow-up is named below, not reported through warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _evaluation_context(), np.errstate(over="ignore", invalid="ignore"):
         result = diagnose(
             chart,
             metric,

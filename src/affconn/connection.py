@@ -30,6 +30,8 @@ from .fields import (
     PolynomialEndoField,
     PolynomialOneFormField,
     PolynomialScalarField,
+    _memo,
+    as_points,
     random_polynomial,
 )
 from .levi_civita import PointGeometry
@@ -342,32 +344,24 @@ def evaluate_spec(
     # Geometry-derived phi fields may need deeper metric jets than the caller
     # asked for (the Ricci operator's 1-jet takes metric order 3).
     order = max(order, getattr(spec.phi, "min_metric_order", 1))
-    geo = PointGeometry(chart, metric_field, pts, order=order)
-
-    # Aliased bindings get one jet object, hence bit-identical values.
-    jet_cache: dict[int, object] = {}
-
-    def one_form(f) -> Jet:
-        key = id(f)
-        if key not in jet_cache:
-            jet_cache[key] = f.jet(geo.pts)
-        return jet_cache[key]
-
-    f1 = spec.f1.jet(geo.pts)
-    f2 = spec.f2.jet(geo.pts)
-    u, u1, u2 = one_form(spec.u), one_form(spec.u1), one_form(spec.u2)
+    pts = as_points(pts, chart.n)  # PointGeometry checks it is inside the chart
+    geo = _memo("geometry", (chart, metric_field), pts, order,
+                lambda: PointGeometry(chart, metric_field, pts, order=order))
+    f1 = spec.f1.jet(pts)
+    f2 = spec.f2.jet(pts)
+    # Aliased bindings get one jet object and one sharp, hence bit-identical
+    # values, inside an evaluation context or not.
+    forms = (spec.u, spec.u1, spec.u2)
+    jets = {w: w.jet(pts) for w in dict.fromkeys(forms)}
+    sharps = {
+        w: _memo("sharp", (w, metric_field), pts, order, lambda: sharp(jet, geo.inv))
+        for w, jet in jets.items()
+    }
+    u, u1, u2 = (jets[w] for w in forms)
+    us, u1s, u2s = (sharps[w] for w in forms)
     phi = resolve_endo_jet(spec.phi, geo)
-    split = split_phi(phi, geo.metric, geo.inv)
-
-    sharp_cache: dict[int, Jet] = {}
-
-    def raise_one(jet) -> Jet:
-        key = id(jet)
-        if key not in sharp_cache:
-            sharp_cache[key] = sharp(jet, geo.inv)
-        return sharp_cache[key]
-
-    us, u1s, u2s = raise_one(u), raise_one(u1), raise_one(u2)
+    split = _memo("split_phi", (spec.phi, metric_field), pts, order,
+                  lambda: split_phi(phi, geo.metric, geo.inv))
     h = deformation_h(
         geo.g,
         u.comp,

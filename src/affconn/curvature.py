@@ -32,7 +32,7 @@ from .connection import (
     sharp,
 )
 from .errors import BadParams
-from .fields import Chart, Jet, points_last
+from .fields import Chart, Jet, _evaluation_context, _memo, points_last
 from .levi_civita import (
     PointGeometry,
     cov_deriv_endo,
@@ -329,41 +329,51 @@ def curvature_direct(
     Every intermediate (inverse metric, Christoffel, Phi split, sharps, H) is
     rebuilt here from raw field jets and written once, as its value: ``_jein``
     derives its 1-jet by the product rule.  Only d(g^-1) is written out.
-    Nothing is shared with curvature_formula's helper-tensor path.
+    Nothing is shared with curvature_formula's helper-tensor path: in an
+    evaluation context the intermediates before H are memoised under the
+    oracle's own keys, and only the raw field jets are common to both paths.
     """
     pts = chart.require_inside(pts)
     order = needed_order(spec)
     g = metric_field.jet(pts, order=order)
-    dg = Jet(g.d1, g.d2)  # d_k g_ij as a field of its own
-    eye = np.eye(chart.n)
     f1, f2 = (Jet(j.value, j.grad) for j in (spec.f1.jet(pts), spec.f2.jet(pts)))
-    jet_cache: dict[int, Jet] = {}
-
-    def one_form(f) -> Jet:
-        key = id(f)
-        if key not in jet_cache:
-            jet_cache[key] = f.jet(pts)
-        return jet_cache[key]
-
-    u, u1, u2 = one_form(spec.u), one_form(spec.u1), one_form(spec.u2)
+    u, u1, u2 = spec.u.jet(pts), spec.u1.jet(pts), spec.u2.jet(pts)
     if hasattr(spec.phi, "jet_geo"):
         phi = spec.phi.jet_geo(PointGeometry(chart, metric_field, pts, order=order))
     else:
         phi = spec.phi.jet(pts)
 
-    ginv_v = points_last(np.linalg.inv(g.comp))
-    dg_ginv = np.einsum("pkim,pmj->pkij", g.d1, ginv_v)
-    ginv = Jet(ginv_v, -np.einsum("pim,pkmj->pkij", ginv_v, dg_ginv))
-    low = 0.5 * (_jein("pimj->pmij", dg) + _jein("pjmi->pmij", dg) - dg)
-    gamma = _jein("pkm,pmij->pkij", ginv, low)
+    def oracle_memo(kind, compute, *fields):
+        return _memo(kind, (*fields, metric_field), pts, order, compute)
 
-    raw = _jein("pmi,pmj->pij", phi, g)
-    p1 = 0.5 * (raw + _jein("pji->pij", raw))
-    phi1 = _jein("pim,pmk->pki", p1, ginv)
-    phi2 = phi - phi1  # raising Phi1 + Phi2 = Phi gives back phi
-    big_u, big_u1, big_u2 = (_jein("pkm,pm->pk", ginv, w) for w in (u, u1, u2))
-    u1_eye = _jein("pi,kj->pkij", u1, eye, order="F")
-    rec = u1_eye + _jein("pkji->pkij", u1_eye) - _jein("pij,pk->pkij", g, big_u1)
+    def inverse():
+        ginv_v = points_last(np.linalg.inv(g.comp))
+        dg_ginv = np.einsum("pkim,pmj->pkij", g.d1, ginv_v)
+        return Jet(ginv_v, -np.einsum("pim,pkmj->pkij", ginv_v, dg_ginv))
+
+    def christoffel_symbols():
+        dg = Jet(g.d1, g.d2)  # d_k g_ij as a field of its own
+        low = 0.5 * (_jein("pimj->pmij", dg) + _jein("pjmi->pmij", dg) - dg)
+        return _jein("pkm,pmij->pkij", ginv, low)
+
+    def phi_split():
+        raw = _jein("pmi,pmj->pij", phi, g)
+        p1 = 0.5 * (raw + _jein("pji->pij", raw))
+        phi1 = _jein("pim,pmk->pki", p1, ginv)
+        return p1, phi1, phi - phi1  # raising Phi1 + Phi2 = Phi gives back phi
+
+    def recurrence():
+        u1_eye = _jein("pi,kj->pkij", u1, np.eye(chart.n), order="F")
+        return u1_eye + _jein("pkji->pkij", u1_eye) - _jein("pij,pk->pkij", g, big_u1)
+
+    ginv = oracle_memo("oracle_inverse", inverse)
+    gamma = oracle_memo("oracle_gamma", christoffel_symbols)
+    p1, phi1, phi2 = oracle_memo("oracle_phi_split", phi_split, spec.phi)
+    big_u, big_u1, big_u2 = (
+        oracle_memo("oracle_sharp", lambda: _jein("pkm,pm->pk", ginv, jet), w)
+        for w, jet in ((spec.u, u), (spec.u1, u1), (spec.u2, u2))
+    )
+    rec = oracle_memo("oracle_rec", recurrence, spec.u1)
     # each H addend up to its sign, keyed by fault-injection name
     h = {
         "h_u_phi1": _jein("pj,pki->pkij", u, phi1),
@@ -461,78 +471,80 @@ def diagnose(
     doubling that term.  ``explained_fraction`` is 1 - ||D - c*C||^2/||D||^2
     for the best scalar c, so a single corrupted term scores ~1.  A failing
     comparison with a finite residual also triggers a greedy
-    minimal-failing-configuration search over zeroed field bindings.
+    minimal-failing-configuration search over zeroed field bindings.  All
+    of its runs share one evaluation context (see ``fields._memo``).
     """
-    formula, _, direct = _run_both(chart, metric_field, spec, pts, corrupt)
-    diff = formula - direct
-    residual = norm_residual(formula, direct)
-    ok = residual <= tolerance
+    with _evaluation_context():
+        formula, _, direct = _run_both(chart, metric_field, spec, pts, corrupt)
+        diff = formula - direct
+        residual = norm_residual(formula, direct)
+        ok = residual <= tolerance
 
-    frame = evaluate_spec(chart, metric_field, spec, pts, order=needed_order(spec))
-    _, clean_groups = curvature_formula(frame)
-    clean_direct = curvature_direct(chart, metric_field, spec, pts)
+        frame = evaluate_spec(chart, metric_field, spec, pts, order=needed_order(spec))
+        _, clean_groups = curvature_formula(frame)
+        clean_direct = curvature_direct(chart, metric_field, spec, pts)
 
-    candidates: dict[str, tuple[str, np.ndarray]] = {}
-    for name in GROUPS:
-        candidates[name] = ("formula_group", clean_groups[name])
-    for name in H_TERMS:
-        bumped = curvature_direct(
-            chart, metric_field, spec, pts, corrupt=Corruption(name, 2.0)
-        )
-        candidates[name] = ("h_term", bumped - clean_direct)
-
-    d_flat = diff.ravel()
-    d_norm2 = float(d_flat @ d_flat)
-    table = []
-    for name, (kind, cand) in candidates.items():
-        c_flat = cand.ravel()
-        c_norm2 = float(c_flat @ c_flat)
-        contribution = max_abs(cand)
-        if c_norm2 == 0.0 or d_norm2 == 0.0:
-            coeff, explained = 0.0, 0.0
-        else:
-            coeff = float(d_flat @ c_flat) / c_norm2
-            rem = d_flat - coeff * c_flat
-            explained = 1.0 - float(rem @ rem) / d_norm2
-        if contribution != 0.0:
-            table.append(
-                {
-                    "term": name,
-                    "kind": kind,
-                    "contribution": contribution,
-                    "alignment": coeff,
-                    "explained_fraction": explained,
-                }
+        candidates: dict[str, tuple[str, np.ndarray]] = {}
+        for name in GROUPS:
+            candidates[name] = ("formula_group", clean_groups[name])
+        for name in H_TERMS:
+            bumped = curvature_direct(
+                chart, metric_field, spec, pts, corrupt=Corruption(name, 2.0)
             )
-    table.sort(key=lambda row: (-row["explained_fraction"], row["term"]))
+            candidates[name] = ("h_term", bumped - clean_direct)
 
-    report = {
-        "residual": residual,
-        "tolerance": tolerance,
-        "pass": bool(ok),
-        "term_table": table,
-        "binding_ablation": [],
-        "minimal_failing_bindings": [],
-    }
-    # a non-finite residual has no size to shrink: there is nothing to search
-    if not ok and np.isfinite(residual):
-        for name in BINDING_NAMES:
-            res = _global_residual(
-                chart, metric_field, spec.with_zeroed(name), pts, corrupt
-            )
-            report["binding_ablation"].append(
-                {"zeroed": name, "residual": res, "pass": bool(res <= tolerance)}
-            )
-        # Greedy minimal failing configuration: zero bindings one at a time,
-        # keep the zero whenever the comparison still fails.
-        current = spec
-        for name in BINDING_NAMES:
-            trial = current.with_zeroed(name)
-            if _global_residual(chart, metric_field, trial, pts, corrupt) > tolerance:
-                current = trial
-        report["minimal_failing_bindings"] = [
-            name
-            for name in BINDING_NAMES
-            if not getattr(current, name).is_zero
-        ]
+        d_flat = diff.ravel()
+        d_norm2 = float(d_flat @ d_flat)
+        table = []
+        for name, (kind, cand) in candidates.items():
+            c_flat = cand.ravel()
+            c_norm2 = float(c_flat @ c_flat)
+            contribution = max_abs(cand)
+            if c_norm2 == 0.0 or d_norm2 == 0.0:
+                coeff, explained = 0.0, 0.0
+            else:
+                coeff = float(d_flat @ c_flat) / c_norm2
+                rem = d_flat - coeff * c_flat
+                explained = 1.0 - float(rem @ rem) / d_norm2
+            if contribution != 0.0:
+                table.append(
+                    {
+                        "term": name,
+                        "kind": kind,
+                        "contribution": contribution,
+                        "alignment": coeff,
+                        "explained_fraction": explained,
+                    }
+                )
+        table.sort(key=lambda row: (-row["explained_fraction"], row["term"]))
+
+        report = {
+            "residual": residual,
+            "tolerance": tolerance,
+            "pass": bool(ok),
+            "term_table": table,
+            "binding_ablation": [],
+            "minimal_failing_bindings": [],
+        }
+        # a non-finite residual has no size to shrink: there is nothing to search
+        if not ok and np.isfinite(residual):
+            for name in BINDING_NAMES:
+                res = _global_residual(
+                    chart, metric_field, spec.with_zeroed(name), pts, corrupt
+                )
+                report["binding_ablation"].append(
+                    {"zeroed": name, "residual": res, "pass": bool(res <= tolerance)}
+                )
+            # Greedy minimal failing configuration: zero bindings one at a time,
+            # keep the zero whenever the comparison still fails.
+            current = spec
+            for name in BINDING_NAMES:
+                trial = current.with_zeroed(name)
+                if _global_residual(chart, metric_field, trial, pts, corrupt) > tolerance:
+                    current = trial
+            report["minimal_failing_bindings"] = [
+                name
+                for name in BINDING_NAMES
+                if not getattr(current, name).is_zero
+            ]
     return report

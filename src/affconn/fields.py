@@ -15,6 +15,10 @@ Polynomial terms are checked once, where they enter: the public
 ``PolynomialExpr`` constructor and ``poly_from_json``.  The package's own
 algebra keeps terms canonical and builds through ``_canonical`` unchecked.
 
+Jet values are computed once per run: inside an ``_evaluation_context``,
+``_memo`` keeps each field's jet, and the derived data callers key through
+it, per (owners, point batch, order) until the outermost context exits.
+
 Array layout conventions (shared by the whole package):
 
 - A batch of m points in an n-dimensional chart is an (m, n) array; the batch
@@ -36,6 +40,8 @@ Array layout conventions (shared by the whole package):
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
@@ -375,6 +381,65 @@ def poly_from_json(n: int, obj, where: str = "polynomial") -> PolynomialExpr:
 
 
 # ---------------------------------------------------------------------------
+# One evaluation per run
+
+# The open memo: None outside every ``_evaluation_context``.
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "affconn_memo", default=None
+)
+
+
+@contextlib.contextmanager
+def _evaluation_context():
+    """Scope inside which ``_memo`` computes each value once.  A context
+    opened inside another joins it; the memo and every value in it are
+    dropped when the outermost one exits."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _read_only(value):
+    """``value`` with every array it holds made read-only: an array, a tuple
+    of values, or a dataclass (a jet, a Phi split) over arrays; any other
+    object is left as it is."""
+    if isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    elif isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif hasattr(value, "__dataclass_fields__"):
+        for item in value.__dict__.values():
+            if isinstance(item, np.ndarray):
+                item.setflags(write=False)
+    return value
+
+
+def _memo(kind: str, owners: tuple, pts: np.ndarray, order, compute):
+    """``compute()``, once per (kind, owners, point batch, order) inside an
+    ``_evaluation_context``, and on every call outside one.
+
+    ``owners`` are the objects the value is computed from (fields, the
+    metric), matched by identity; ``pts`` is the validated (m, n) batch,
+    matched by its values.  An entry holds its owners, so no owner's id is
+    reused while the memo lives.  Stored arrays are read-only.
+    """
+    memo = _MEMO.get()
+    if memo is None:
+        return compute()
+    key = (kind, *map(id, owners), pts.shape, pts.tobytes(), order)
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (owners, _read_only(compute()))
+    return entry[1]
+
+
+# ---------------------------------------------------------------------------
 # Jets
 
 
@@ -610,11 +675,20 @@ class _JetPlan:
 
 # ---------------------------------------------------------------------------
 # Field objects.  Each has .n, .kind and a jet(...) method; all jets are exact.
+# ``jet`` goes through ``_field_jet``, and ``_evaluate`` does the work.
+
+
+def _field_jet(field, pts, order: int):
+    """``field._evaluate(pts, order)`` at the validated batch ``pts``: the
+    field's jet, computed once per run (``_memo``)."""
+    pts = as_points(pts, field.n)
+    return _memo("jet", (field,), pts, order, lambda: field._evaluate(pts, order))
 
 
 class _PlannedField:
     """Jets of the polynomials ``_flat`` (C order of ``_shape``), through one
-    ``_JetPlan`` per order, built on first use and kept."""
+    ``_JetPlan`` per order, built on first use and kept; the jet itself is
+    memoised per run (``_memo``)."""
 
     def __init__(self, n: int, flat: tuple, shape: tuple):
         self.n = n
@@ -622,11 +696,14 @@ class _PlannedField:
         self._shape = shape
         self._plans: dict[int, _JetPlan] = {}
 
-    def _jets(self, pts, order: int) -> list:
+    def _apply(self, pts: np.ndarray, order: int) -> list:
         plan = self._plans.get(order)
         if plan is None:
             plan = self._plans[order] = _JetPlan(self.n, self._flat, self._shape, order)
-        return plan.apply(as_points(pts, self.n))
+        return plan.apply(pts)
+
+    def _evaluate(self, pts: np.ndarray, order: int):
+        return Jet(*self._apply(pts, order))
 
 
 class PolynomialScalarField(_PlannedField):
@@ -651,8 +728,10 @@ class PolynomialScalarField(_PlannedField):
         return self.expr.is_zero
 
     def jet(self, pts) -> ScalarFieldJet:
-        value, grad = self._jets(pts, 1)
-        return ScalarFieldJet(value=value, grad=grad)
+        return _field_jet(self, pts, 1)
+
+    def _evaluate(self, pts: np.ndarray, order: int) -> ScalarFieldJet:
+        return ScalarFieldJet(*self._apply(pts, order))
 
 
 class PolynomialOneFormField(_PlannedField):
@@ -674,7 +753,7 @@ class PolynomialOneFormField(_PlannedField):
         return all(c.is_zero for c in self.comps)
 
     def jet(self, pts) -> Jet:
-        return Jet(*self._jets(pts, 1))
+        return _field_jet(self, pts, 1)
 
 
 class PolynomialEndoField(_PlannedField):
@@ -699,7 +778,7 @@ class PolynomialEndoField(_PlannedField):
         return all(e.is_zero for e in self._flat)
 
     def jet(self, pts) -> Jet:
-        return Jet(*self._jets(pts, 1))
+        return _field_jet(self, pts, 1)
 
 
 class IdentityEndoField:
@@ -710,7 +789,9 @@ class IdentityEndoField:
         self.is_zero = False
 
     def jet(self, pts) -> Jet:
-        pts = as_points(pts, self.n)
+        return _field_jet(self, pts, 1)
+
+    def _evaluate(self, pts: np.ndarray, order: int) -> Jet:
         m, n = pts.shape[0], self.n
         comp = batch_zeros(m, (n, n))
         comp[:] = np.eye(n)
@@ -746,7 +827,9 @@ class ConstantMetricField:
 
     def jet(self, pts, order: int = 1) -> Jet:
         _check_order(order)
-        pts = as_points(pts, self.n)
+        return _field_jet(self, pts, order)
+
+    def _evaluate(self, pts: np.ndarray, order: int) -> Jet:
         m, n = pts.shape[0], self.n
         comp = batch_zeros(m, (n, n))
         comp[:] = self.matrix
@@ -769,7 +852,9 @@ class Sphere2MetricField:
 
     def jet(self, pts, order: int = 1) -> Jet:
         _check_order(order)
-        pts = as_points(pts, 2)
+        return _field_jet(self, pts, order)
+
+    def _evaluate(self, pts: np.ndarray, order: int) -> Jet:
         m = pts.shape[0]
         theta = pts[:, 0]
         r2 = self.r * self.r
@@ -802,7 +887,9 @@ class HalfPlaneMetricField:
 
     def jet(self, pts, order: int = 1) -> Jet:
         _check_order(order)
-        pts = as_points(pts, 2)
+        return _field_jet(self, pts, order)
+
+    def _evaluate(self, pts: np.ndarray, order: int) -> Jet:
         m = pts.shape[0]
         y = pts[:, 1]
         if np.any(y <= 0):
@@ -851,7 +938,10 @@ class PolynomialMetricField(_PlannedField):
 
     def jet(self, pts, order: int = 1) -> Jet:
         _check_order(order)
-        jet = Jet(*self._jets(pts, order))
+        return _field_jet(self, pts, order)
+
+    def _evaluate(self, pts: np.ndarray, order: int) -> Jet:
+        jet = Jet(*self._apply(pts, order))
         _spd_check(jet.comp)
         return jet
 

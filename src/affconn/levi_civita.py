@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import JetOrderUnsupported
-from .fields import Chart, Jet, points_last
+from .fields import Chart, Jet, _read_only, points_last
 
 __all__ = [
     "CurvatureComponents",
@@ -194,7 +194,8 @@ class PointGeometry:
 
     ``order`` is the metric jet order: 1 suffices for Gamma, 2 adds curvature
     and Ricci, 3 adds their first derivatives (needed by the Ricci-operator
-    endomorphism field's jets).
+    endomorphism field's jets).  The data is read-only once computed, since
+    one geometry may serve a whole run (see ``fields._memo``).
     """
 
     def __init__(self, chart: Chart, metric, pts, order: int = 1):
@@ -208,21 +209,21 @@ class PointGeometry:
 
     @cached_property
     def inv(self) -> Jet:
-        return inverse_metric(self.metric)
+        return _read_only(inverse_metric(self.metric))
 
     @cached_property
     def christoffel(self) -> Jet:
-        return christoffel(self.metric, self.inv)
+        return _read_only(christoffel(self.metric, self.inv))
 
     @cached_property
     def riemann(self) -> CurvatureComponents:
-        return riemann(self.christoffel)
+        return _read_only(riemann(self.christoffel))
 
     @cached_property
     def ricci(self) -> RicciData:
-        return ricci_data(
+        return _read_only(ricci_data(
             self.riemann, self.inv, self.christoffel, with_d1=self.order >= 3
-        )
+        ))
 
     @property
     def g(self) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 import contextlib
 import copy
+import dataclasses
+import gc
 import io
 import json
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affconn import CaseUnknown, DimensionMismatch, SchemaError, fields
+from affconn import cases, cli, connection, curvature
 from affconn.cli import (
     cmd_ablate,
     cmd_cases,
@@ -24,6 +28,7 @@ from affconn.cli import (
     render_json,
     render_pretty,
 )
+from affconn.curvature import CORRUPTIBLE_TERMS
 
 X1 = {"terms": [{"c": 1.0, "e": [1, 0]}]}
 X2 = {"terms": [{"c": 1.0, "e": [0, 1]}]}
@@ -50,6 +55,12 @@ RAW_BUMPY2 = {
         }
     },
     "points": {"count": 10, "seed": 9},
+}
+
+RICCI_CASE = {
+    "manifold": {"preset": "bumpy", "n": 2, "eps": 0.05, "seed": 4},
+    "connection": {"case": 2, "bindings": {"u": [X1, X2]}},
+    "points": {"count": 6, "seed": 3},
 }
 
 RAW_EUCLIDEAN2 = {
@@ -260,14 +271,15 @@ def test_verify_corruption_fails_with_diagnosis(tmp_path, capsys):
 def test_failing_verify_plans_each_field_once(tmp_path, capsys, monkeypatch):
     # A failing verify evaluates the same fields over and over (diagnose
     # reruns both curvature paths): each (field, order) is planned once, and
-    # every later jet call only applies that plan.
-    planned, applied, unique_calls = [], [], []
+    # its one evaluation context applies each plan once, to its one batch.
+    planned, plans, applied, unique_calls = [], [], [], []
     planning = [False]
     unique = np.unique
 
     class RecordedPlan(fields._JetPlan):
         def __init__(self, n, comps, shape, order):
             planned.append((comps, order))  # a field's own component tuple
+            plans.append(self)
             planning[0] = True
             try:
                 super().__init__(n, comps, shape, order)
@@ -289,8 +301,62 @@ def test_failing_verify_plans_each_field_once(tmp_path, capsys, monkeypatch):
     assert code == 1
     keys = [(id(comps), order) for comps, order in planned]
     assert len(keys) == len(set(keys))  # planned at most once per field and order
-    assert len(applied) > 5 * len(planned)  # most jet calls were warm
+    assert sorted(map(id, applied)) == sorted(map(id, plans))  # each applied once
     assert unique_calls and all(unique_calls)  # np.unique only while planning
+
+
+COMMAND_RUNS = (
+    [(RAW_BUMPY2, ("verify",))]
+    + [(RAW_BUMPY2, ("verify", "--corrupt-term", term)) for term in CORRUPTIBLE_TERMS]
+    + [(RAW_BUMPY2, ("ablate",)), (RAW_BUMPY2, ("tensors",))]
+    + [(RICCI_CASE, (command,)) for command in ("verify", "ablate", "tensors")]
+)
+
+
+@pytest.mark.parametrize("payload, argv", COMMAND_RUNS)
+def test_reports_are_byte_identical_without_the_evaluation_context(
+    tmp_path, capsys, monkeypatch, payload, argv
+):
+    # Sharing values within a run must change no bit of any report.
+    args = (argv[0], "--config", config_file(tmp_path, payload), *argv[1:])
+    shared = run_main(capsys, *args)
+    for module in (curvature, cases, cli):
+        monkeypatch.setattr(module, "_evaluation_context", contextlib.nullcontext)
+    assert run_main(capsys, *args) == shared
+
+
+def weakrefs(value) -> list:
+    """Weak references to ``value`` and to every array and jet it holds."""
+    if isinstance(value, tuple):
+        return [ref for item in value for ref in weakrefs(item)]
+    if isinstance(value, np.ndarray):
+        return [weakref.ref(value)]
+    refs = [weakref.ref(value)]
+    if dataclasses.is_dataclass(value):
+        refs += [ref for item in vars(value).values() if item is not None
+                 for ref in weakrefs(item)]
+    return refs
+
+
+@pytest.mark.parametrize("command", [
+    lambda config: cmd_verify(config, corrupt_term="h_f1"), cmd_ablate, cmd_tensors,
+])
+def test_no_cached_value_outlives_its_command(monkeypatch, command):
+    memo, stored = fields._memo, []
+
+    def recording(kind, owners, pts, order, compute):
+        value = memo(kind, owners, pts, order, compute)
+        if fields._MEMO.get() is not None:
+            stored.extend(weakrefs(value))
+        return value
+
+    for module in (fields, connection, curvature, cases):
+        monkeypatch.setattr(module, "_memo", recording)
+    result = command(parse_config(json.dumps(RAW_BUMPY2)))
+    assert stored and fields._MEMO.get() is None
+    del result
+    gc.collect()
+    assert [ref() for ref in stored if ref() is not None] == []
 
 
 def test_verify_unknown_corrupt_term_is_usage_error(tmp_path, capsys):

@@ -394,7 +394,7 @@ def test_aliased_fields_share_one_jet(bumpy2, m):
     omega = PolynomialOneFormField(2, [x2, zero2])
     spec = ConnectionSpec.build(2, u=omega, u1=omega)
     frame = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, bumpy2.chart.sample(m, 15))
-    assert frame.u1 is frame.u
+    assert frame.u1 is frame.u and frame.u1_sharp is frame.u_sharp
     assert frame.u2 is not frame.u
 
 
