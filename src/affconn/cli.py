@@ -33,6 +33,7 @@ default to zero when omitted.  A tolerance, in the config or from
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -682,6 +683,7 @@ def _load_config(path: str, tolerance: float | None, output_flag: str | None) ->
     return config
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affconn",

@@ -19,6 +19,7 @@ one batch.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -117,21 +118,34 @@ class ConnectionSpec:
         """Copy with one binding replaced by the zero field (ablation tool).
 
         Zeroing ``u`` (etc.) also zeroes any alias of the same object, with
-        the same zero object, so the aliases stay aliases.
+        the same zero object, so the aliases stay aliases.  There is one zero
+        field per (kind, n), so every spec that zeroes a binding holds the
+        same object there and an evaluation context computes its values once.
         """
-        kinds = {
-            "f1": PolynomialScalarField,
-            "f2": PolynomialScalarField,
-            "u": PolynomialOneFormField,
-            "u1": PolynomialOneFormField,
-            "u2": PolynomialOneFormField,
-            "phi": PolynomialEndoField,
-        }
-        if name not in kinds:
+        if name not in _BINDING_KINDS:
             raise BadParams(f"no spec binding named {name!r}")
         old = getattr(self, name)
-        zero = kinds[name].zero(self.n)
-        return replace(self, **{k: zero for k in kinds if getattr(self, k) is old})
+        zero = _zero_field(_BINDING_KINDS[name], self.n)
+        return replace(
+            self, **{k: zero for k in _BINDING_KINDS if getattr(self, k) is old}
+        )
+
+
+_BINDING_KINDS = {
+    "f1": PolynomialScalarField,
+    "f2": PolynomialScalarField,
+    "u": PolynomialOneFormField,
+    "u1": PolynomialOneFormField,
+    "u2": PolynomialOneFormField,
+    "phi": PolynomialEndoField,
+}
+
+
+@functools.cache
+def _zero_field(kind, n: int):
+    """The one zero field of ``kind`` in dimension ``n`` (fields are
+    immutable, so it may be shared)."""
+    return kind.zero(n)
 
 
 def max_abs(*arrays) -> float:

@@ -42,6 +42,7 @@ from .levi_civita import (
 
 __all__ = [
     "GROUPS",
+    "GROUP_READS",
     "CORRUPTIBLE_TERMS",
     "EtaHelpers",
     "CurvatureReport",
@@ -76,6 +77,24 @@ GROUPS = (
 )
 
 CORRUPTIBLE_TERMS = H_TERMS + GROUPS
+
+# The spec bindings each group reads, besides the metric.
+GROUP_READS = {
+    "riemann": (),
+    "du_phi2": ("u", "phi"),
+    "alpha_phi1": ("u", "phi"),
+    "a_phi1": ("u", "phi"),
+    "r0_mu": ("u", "phi"),
+    "nabla_phi2": ("u", "phi"),
+    "f1_block": ("f1", "u1", "u", "phi"),
+    "f2_block": ("f2", "u2", "u", "phi"),
+    "f1_sq": ("f1", "u1"),
+    "f2_sq": ("f2", "u2"),
+    "f1_f2": ("f1", "f2", "u1", "u2"),
+    "xf1_block": ("f1", "u1"),
+    "yf1_block": ("f1", "u1"),
+    "grad_f2": ("f2", "u2"),
+}
 
 BINDING_NAMES = ("u", "u1", "u2", "f1", "f2", "phi")
 
@@ -164,7 +183,14 @@ def curvature_formula(
     """Assemble the closed-form R~ from its 14 named groups.
 
     Returns (total, groups); each group is an (m, n, n, n, n) array in the
-    [p, l, i, j, k] layout.  ``corrupt`` scales one named group.
+    [p, l, i, j, k] layout.  ``corrupt`` scales a copy of one named group.
+
+    Each group, the beta/alpha helpers of u, u1 and u2, and the f1
+    recurrence are memoised (``fields._memo``) by the frame's jets of the
+    bindings they read (``GROUP_READS``) and its geometry, so inside an
+    evaluation context a spec with one binding zeroed recomputes only the
+    groups that read it.  Values are computed when a missing group needs
+    them; ``total`` is summed in ``GROUPS`` order into a fresh buffer.
     """
     geo = frame.geo
     geo.metric.require_order(2, "curvature_formula")
@@ -181,97 +207,139 @@ def curvature_formula(
     phi_full = frame.phi.comp
     big_phi = split.Phi
 
-    helpers_u = eta_helpers(frame.u, frame)
-    helpers_u1 = eta_helpers(frame.u1, frame)
-    helpers_u2 = eta_helpers(frame.u2, frame)
-    mu = mu_tensor(frame)
-    du = exterior_2du(frame.u)
-    du1 = exterior_2du(frame.u1)
-    nab2 = cov_deriv_endo(split.phi2, split.phi2_d1, geo.gamma)
+    def memo(kind, reads, compute):
+        owners = (*(getattr(frame, name) for name in reads), geo)
+        return _memo(kind, owners, geo.pts, geo.order, compute)
 
-    groups: dict[str, np.ndarray] = {}
-    groups["riemann"] = geo.riemann.r
-    groups["du_phi2"] = -np.einsum("pij,plk->plijk", du, split.phi2)
-    groups["alpha_phi1"] = -np.einsum(
-        "pjk,pli->plijk", helpers_u.alpha, split.phi1
-    ) + np.einsum("pik,plj->plijk", helpers_u.alpha, split.phi1)
-    groups["a_phi1"] = -np.einsum(
-        "pjk,pil->plijk", split.Phi1, helpers_u.avec
-    ) + np.einsum("pik,pjl->plijk", split.Phi1, helpers_u.avec)
-    mud = mu - mu.swapaxes(2, 3)
-    gmud = np.einsum("pmij,pmk->pijk", mud, g)
-    groups["r0_mu"] = -np.einsum("pijk,pl->plijk", gmud, big_u) + np.einsum(
-        "pk,plij->plijk", u, mud
-    )
-    groups["nabla_phi2"] = np.einsum("pi,pjlk->plijk", u, nab2) - np.einsum(
-        "pj,pilk->plijk", u, nab2
-    )
+    # Cached per call too, so that outside an evaluation context each helper
+    # is still computed once for every group that needs it.
+    @functools.cache
+    def helpers(name):
+        # beta/alpha of eta also read u, its sharp, and the Phi split
+        eta = getattr(frame, name)
+        return memo("eta_helpers", (name, "u", "phi"), lambda: eta_helpers(eta, frame))
 
-    # R0(phi X, U1)Z = u1(Z) phi X - g(phi X, Z) U1, with full phi.
-    r0_phix_u1 = np.einsum("pk,pli->plik", u1, phi_full) - np.einsum(
-        "pik,pl->plik", big_phi, big_u1
-    )
-    inner_f1 = (
-        np.einsum("pij,lk->plijk", du1, eye, order="F")
-        - np.einsum("pjk,li->plijk", helpers_u1.beta, eye, order="F")
-        + np.einsum("pik,lj->plijk", helpers_u1.beta, eye, order="F")
-        - np.einsum("pjk,pil->plijk", g, helpers_u1.bvec)
-        + np.einsum("pik,pjl->plijk", g, helpers_u1.bvec)
-        + np.einsum("pj,plik->plijk", u, r0_phix_u1)
-        - np.einsum("pi,pljk->plijk", u, r0_phix_u1)
-    )
-    groups["f1_block"] = -f1[:, None, None, None, None] * inner_f1
+    @functools.cache
+    def rec():
+        return memo("rec", ("u1",), lambda: (
+            np.einsum("pj,lk->pljk", u1, eye, order="F")
+            + np.einsum("pk,lj->pljk", u1, eye, order="F")
+            - np.einsum("pjk,pl->pljk", g, big_u1)
+        ))
 
-    inner_f2 = (
-        np.einsum("pjk,pi,pl->plijk", big_phi, u, big_u2)
-        - np.einsum("pik,pj,pl->plijk", big_phi, u, big_u2)
-        - np.einsum("pjk,pil->plijk", g, helpers_u2.bvec)
-        + np.einsum("pik,pjl->plijk", g, helpers_u2.bvec)
-    )
-    groups["f2_block"] = f2[:, None, None, None, None] * inner_f2
+    def du_phi2():
+        return -np.einsum("pij,plk->plijk", exterior_2du(frame.u), split.phi2)
 
-    u1_u1 = np.einsum("pm,pm->p", u1, big_u1)
-    r0_x_u1_u1 = np.multiply(u1_u1[:, None, None], eye, order="F") - np.einsum(
-        "pi,pl->pli", u1, big_u1
-    )
-    r0_x_y_u1 = np.einsum("pj,li->plij", u1, eye, order="F") - np.einsum(
-        "pi,lj->plij", u1, eye, order="F"
-    )
-    inner_f1sq = (
-        np.einsum("pjk,pli->plijk", g, r0_x_u1_u1)
-        - np.einsum("pik,plj->plijk", g, r0_x_u1_u1)
-        - np.einsum("pk,plij->plijk", u1, r0_x_y_u1)
-    )
-    groups["f1_sq"] = -(f1 * f1)[:, None, None, None, None] * inner_f1sq
+    def alpha_phi1():
+        alpha = helpers("u").alpha
+        return -np.einsum("pjk,pli->plijk", alpha, split.phi1) + np.einsum(
+            "pik,plj->plijk", alpha, split.phi1
+        )
 
-    inner_f2sq = np.einsum("pjk,pi,pl->plijk", g, u2, big_u2) - np.einsum(
-        "pik,pj,pl->plijk", g, u2, big_u2
-    )
-    groups["f2_sq"] = (f2 * f2)[:, None, None, None, None] * inner_f2sq
+    def a_phi1():
+        avec = helpers("u").avec
+        return -np.einsum("pjk,pil->plijk", split.Phi1, avec) + np.einsum(
+            "pik,pjl->plijk", split.Phi1, avec
+        )
 
-    # R0(X, U2)U1 - u2(X) U1, as a [p, l, i] vector-valued slot.
-    u2_u1 = np.einsum("pm,pm->p", u2, big_u1)
-    vec_f1f2 = (
-        np.multiply(u2_u1[:, None, None], eye, order="F")
-        - np.einsum("pi,pl->pli", u1, big_u2)
-        - np.einsum("pi,pl->pli", u2, big_u1)
-    )
-    inner_f1f2 = np.einsum("pjk,pli->plijk", g, vec_f1f2) - np.einsum(
-        "pik,plj->plijk", g, vec_f1f2
-    )
-    groups["f1_f2"] = (f1 * f2)[:, None, None, None, None] * inner_f1f2
+    def r0_mu():
+        mu = mu_tensor(frame)
+        mud = mu - mu.swapaxes(2, 3)
+        gmud = np.einsum("pmij,pmk->pijk", mud, g)
+        return -np.einsum("pijk,pl->plijk", gmud, big_u) + np.einsum(
+            "pk,plij->plijk", u, mud
+        )
 
-    rec = (
-        np.einsum("pj,lk->pljk", u1, eye, order="F")
-        + np.einsum("pk,lj->pljk", u1, eye, order="F")
-        - np.einsum("pjk,pl->pljk", g, big_u1)
-    )
-    groups["xf1_block"] = -np.einsum("pi,pljk->plijk", gf1, rec)
-    groups["yf1_block"] = np.einsum("pj,plik->plijk", gf1, rec)
-    groups["grad_f2"] = -np.einsum("pi,pjk,pl->plijk", gf2, g, big_u2) + np.einsum(
-        "pj,pik,pl->plijk", gf2, g, big_u2
-    )
+    def nabla_phi2():
+        nab2 = cov_deriv_endo(split.phi2, split.phi2_d1, geo.gamma)
+        return np.einsum("pi,pjlk->plijk", u, nab2) - np.einsum(
+            "pj,pilk->plijk", u, nab2
+        )
 
+    def f1_block():
+        du1 = exterior_2du(frame.u1)
+        helpers_u1 = helpers("u1")
+        # R0(phi X, U1)Z = u1(Z) phi X - g(phi X, Z) U1, with full phi.
+        r0_phix_u1 = np.einsum("pk,pli->plik", u1, phi_full) - np.einsum(
+            "pik,pl->plik", big_phi, big_u1
+        )
+        inner_f1 = (
+            np.einsum("pij,lk->plijk", du1, eye, order="F")
+            - np.einsum("pjk,li->plijk", helpers_u1.beta, eye, order="F")
+            + np.einsum("pik,lj->plijk", helpers_u1.beta, eye, order="F")
+            - np.einsum("pjk,pil->plijk", g, helpers_u1.bvec)
+            + np.einsum("pik,pjl->plijk", g, helpers_u1.bvec)
+            + np.einsum("pj,plik->plijk", u, r0_phix_u1)
+            - np.einsum("pi,pljk->plijk", u, r0_phix_u1)
+        )
+        return -f1[:, None, None, None, None] * inner_f1
+
+    def f2_block():
+        bvec = helpers("u2").bvec
+        inner_f2 = (
+            np.einsum("pjk,pi,pl->plijk", big_phi, u, big_u2)
+            - np.einsum("pik,pj,pl->plijk", big_phi, u, big_u2)
+            - np.einsum("pjk,pil->plijk", g, bvec)
+            + np.einsum("pik,pjl->plijk", g, bvec)
+        )
+        return f2[:, None, None, None, None] * inner_f2
+
+    def f1_sq():
+        u1_u1 = np.einsum("pm,pm->p", u1, big_u1)
+        r0_x_u1_u1 = np.multiply(u1_u1[:, None, None], eye, order="F") - np.einsum(
+            "pi,pl->pli", u1, big_u1
+        )
+        r0_x_y_u1 = np.einsum("pj,li->plij", u1, eye, order="F") - np.einsum(
+            "pi,lj->plij", u1, eye, order="F"
+        )
+        inner_f1sq = (
+            np.einsum("pjk,pli->plijk", g, r0_x_u1_u1)
+            - np.einsum("pik,plj->plijk", g, r0_x_u1_u1)
+            - np.einsum("pk,plij->plijk", u1, r0_x_y_u1)
+        )
+        return -(f1 * f1)[:, None, None, None, None] * inner_f1sq
+
+    def f2_sq():
+        inner_f2sq = np.einsum("pjk,pi,pl->plijk", g, u2, big_u2) - np.einsum(
+            "pik,pj,pl->plijk", g, u2, big_u2
+        )
+        return (f2 * f2)[:, None, None, None, None] * inner_f2sq
+
+    def f1_f2():
+        # R0(X, U2)U1 - u2(X) U1, as a [p, l, i] vector-valued slot.
+        u2_u1 = np.einsum("pm,pm->p", u2, big_u1)
+        vec_f1f2 = (
+            np.multiply(u2_u1[:, None, None], eye, order="F")
+            - np.einsum("pi,pl->pli", u1, big_u2)
+            - np.einsum("pi,pl->pli", u2, big_u1)
+        )
+        inner_f1f2 = np.einsum("pjk,pli->plijk", g, vec_f1f2) - np.einsum(
+            "pik,plj->plijk", g, vec_f1f2
+        )
+        return (f1 * f2)[:, None, None, None, None] * inner_f1f2
+
+    def grad_f2():
+        return -np.einsum("pi,pjk,pl->plijk", gf2, g, big_u2) + np.einsum(
+            "pj,pik,pl->plijk", gf2, g, big_u2
+        )
+
+    formulas = {
+        "riemann": lambda: geo.riemann.r,
+        "du_phi2": du_phi2,
+        "alpha_phi1": alpha_phi1,
+        "a_phi1": a_phi1,
+        "r0_mu": r0_mu,
+        "nabla_phi2": nabla_phi2,
+        "f1_block": f1_block,
+        "f2_block": f2_block,
+        "f1_sq": f1_sq,
+        "f2_sq": f2_sq,
+        "f1_f2": f1_f2,
+        "xf1_block": lambda: -np.einsum("pi,pljk->plijk", gf1, rec()),
+        "yf1_block": lambda: np.einsum("pj,plik->plijk", gf1, rec()),
+        "grad_f2": grad_f2,
+    }
+    groups = {name: memo(name, GROUP_READS[name], formulas[name]) for name in GROUPS}
     if corrupt is not None and corrupt.name in groups:
         groups[corrupt.name] = corrupt.factor * groups[corrupt.name]
     total = np.zeros_like(groups["riemann"])  # sum()'s order and bits, one buffer
@@ -330,8 +398,11 @@ def curvature_direct(
     rebuilt here from raw field jets and written once, as its value: ``_jein``
     derives its 1-jet by the product rule.  Only d(g^-1) is written out.
     Nothing is shared with curvature_formula's helper-tensor path: in an
-    evaluation context the intermediates before H are memoised under the
-    oracle's own keys, and only the raw field jets are common to both paths.
+    evaluation context the intermediates and the five clean H addends are
+    memoised under the oracle's own keys (each addend by the bindings it
+    reads), and only the raw field jets are common to both paths.
+    ``corrupt`` scales a copy of one addend; Gamma~ is summed in a fixed
+    order into fresh buffers, so no memoised value is written.
     """
     pts = chart.require_inside(pts)
     order = needed_order(spec)
@@ -374,14 +445,16 @@ def curvature_direct(
         for w, jet in ((spec.u, u), (spec.u1, u1), (spec.u2, u2))
     )
     rec = oracle_memo("oracle_rec", recurrence, spec.u1)
-    # each H addend up to its sign, keyed by fault-injection name
-    h = {
-        "h_u_phi1": _jein("pj,pki->pkij", u, phi1),
-        "h_u_phi2": _jein("pi,pkj->pkij", u, phi2),
-        "h_phi1_u": _jein("pij,pk->pkij", p1, big_u),
-        "h_f1": _jein("p,pkij->pkij", f1, rec),
-        "h_f2": _jein("p,pij,pk->pkij", f2, g, big_u2),
+    # each H addend up to its sign, keyed by fault-injection name, with the
+    # bindings it reads besides the metric
+    addends = {
+        "h_u_phi1": (lambda: _jein("pj,pki->pkij", u, phi1), spec.u, spec.phi),
+        "h_u_phi2": (lambda: _jein("pi,pkj->pkij", u, phi2), spec.u, spec.phi),
+        "h_phi1_u": (lambda: _jein("pij,pk->pkij", p1, big_u), spec.u, spec.phi),
+        "h_f1": (lambda: _jein("p,pkij->pkij", f1, rec), spec.f1, spec.u1),
+        "h_f2": (lambda: _jein("p,pij,pk->pkij", f2, g, big_u2), spec.f2, spec.u2),
     }
+    h = {name: oracle_memo(name, *addend) for name, addend in addends.items()}
     if corrupt is not None and corrupt.name in h:
         h[corrupt.name] = corrupt.factor * h[corrupt.name]
     gt = gamma + h["h_u_phi1"]  # one buffer per level, summed left to right
@@ -472,7 +545,10 @@ def diagnose(
     for the best scalar c, so a single corrupted term scores ~1.  A failing
     comparison with a finite residual also triggers a greedy
     minimal-failing-configuration search over zeroed field bindings.  All
-    of its runs share one evaluation context (see ``fields._memo``).
+    of its runs share one evaluation context (see ``fields._memo``): the
+    clean re-runs and H-term bumps reuse every group and H addend of the
+    first run, and a spec with one binding zeroed recomputes only the
+    groups and addends that read it (``GROUP_READS``).
     """
     with _evaluation_context():
         formula, _, direct = _run_both(chart, metric_field, spec, pts, corrupt)

@@ -8,7 +8,7 @@ check of every hand-coded derivative.
 import numpy as np
 import pytest
 
-from affconn import preset_manifold
+from affconn import preset_manifold, random_spec
 
 
 def central_diff(fn, pts, h=1e-6):
@@ -29,6 +29,31 @@ def central_diff(fn, pts, h=1e-6):
         lo[:, a] -= h
         out[:, a] = (np.asarray(fn(hi)) - np.asarray(fn(lo))) / (2.0 * h)
     return out
+
+
+def raw_config(manifold: dict, spec_seed: int, points: dict) -> dict:
+    """A raw six-field config: the spec ``random_spec`` draws on the manifold
+    at ``spec_seed``, written out term by term."""
+    params = dict(manifold)
+    man = preset_manifold(params.pop("preset"), params)
+    spec = random_spec(man.chart, spec_seed)
+
+    def poly(expr):
+        return {"terms": [{"c": c, "e": list(e)} for e, c in expr.terms.items()]}
+
+    raw = {
+        "f1": poly(spec.f1.expr),
+        "f2": poly(spec.f2.expr),
+        "phi": [[poly(e) for e in row] for row in spec.phi.entries],
+    }
+    raw |= {name: [poly(c) for c in getattr(spec, name).comps] for name in ("u", "u1", "u2")}
+    return {"manifold": manifold, "connection": {"raw": raw}, "points": points}
+
+
+# A raw bumpy n = 3 config in the shape of perfbench's verify_cli input.
+RAW_BUMPY3 = raw_config(
+    {"preset": "bumpy", "n": 3, "eps": 0.05, "seed": 21}, 104729, {"count": 10, "seed": 5}
+)
 
 
 def rel_err(a, b):

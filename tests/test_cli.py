@@ -29,6 +29,7 @@ from affconn.cli import (
     render_pretty,
 )
 from affconn.curvature import CORRUPTIBLE_TERMS
+from conftest import RAW_BUMPY3
 
 X1 = {"terms": [{"c": 1.0, "e": [1, 0]}]}
 X2 = {"terms": [{"c": 1.0, "e": [0, 1]}]}
@@ -305,11 +306,15 @@ def test_failing_verify_plans_each_field_once(tmp_path, capsys, monkeypatch):
     assert unique_calls and all(unique_calls)  # np.unique only while planning
 
 
+RAW_RUNS = (
+    [("verify",)]
+    + [("verify", "--corrupt-term", term) for term in CORRUPTIBLE_TERMS]
+    + [("ablate",), ("tensors",)]
+)
 COMMAND_RUNS = (
-    [(RAW_BUMPY2, ("verify",))]
-    + [(RAW_BUMPY2, ("verify", "--corrupt-term", term)) for term in CORRUPTIBLE_TERMS]
-    + [(RAW_BUMPY2, ("ablate",)), (RAW_BUMPY2, ("tensors",))]
+    [(RAW_BUMPY2, argv) for argv in RAW_RUNS]
     + [(RICCI_CASE, (command,)) for command in ("verify", "ablate", "tensors")]
+    + [(RAW_BUMPY3, argv) for argv in RAW_RUNS]
 )
 
 

@@ -7,23 +7,37 @@ shared by, that cached arrays cannot be written, and that nothing outlives
 the outermost context.
 """
 
+import dataclasses
 import gc
+import json
 import weakref
 
 import numpy as np
 import pytest
 
 from affconn import (
+    H_TERMS,
     PolynomialExpr,
     PolynomialOneFormField,
     build_case,
+    curvature,
     curvature_direct,
+    curvature_formula,
     evaluate_spec,
     fields,
     needed_order,
     random_spec,
 )
+from affconn.cli import cmd_verify, parse_config
+from affconn.curvature import BINDING_NAMES, GROUP_READS, GROUPS
 from affconn.fields import _evaluation_context
+from conftest import RAW_BUMPY3
+
+FORMULA_KINDS = {"geometry", "split_phi", "sharp", "eta_helpers", "rec", *GROUPS}
+ORACLE_KINDS = {
+    "oracle_inverse", "oracle_gamma", "oracle_phi_split", "oracle_sharp", "oracle_rec",
+    *H_TERMS,
+}
 
 
 def one_form(n, *constants):
@@ -129,7 +143,7 @@ def test_an_in_place_write_into_a_cached_array_raises(bumpy2):
 def path_keys(chart, metric, spec, pts, path) -> set:
     with _evaluation_context():
         if path == "formula":
-            evaluate_spec(chart, metric, spec, pts, order=needed_order(spec))
+            curvature_formula(evaluate_spec(chart, metric, spec, pts, order=needed_order(spec)))
         else:
             curvature_direct(chart, metric, spec, pts)
         return memo_keys()
@@ -149,21 +163,108 @@ def test_the_formula_and_the_oracle_share_only_raw_jets(bumpy2, case):
     oracle = path_keys(bumpy2.chart, bumpy2.metric, spec, pts, "oracle")
     shared = formula & oracle
     assert shared and {key[0] for key in shared} == {"jet"}
-    assert {key[0] for key in formula - shared} == {"geometry", "split_phi", "sharp"}
-    assert {key[0] for key in oracle - shared} == {
-        "oracle_inverse", "oracle_gamma", "oracle_phi_split", "oracle_sharp", "oracle_rec",
-    }
+    assert {key[0] for key in formula - shared} == FORMULA_KINDS
+    assert {key[0] for key in oracle - shared} == ORACLE_KINDS
 
 
 def test_one_context_gives_the_oracle_nothing_but_raw_jets_from_the_formula(bumpy2):
     spec = random_spec(bumpy2.chart, 9)
     pts = bumpy2.chart.sample(4, 10)
     with _evaluation_context():
-        evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts, order=needed_order(spec))
+        curvature_formula(
+            evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts, order=needed_order(spec))
+        )
         before = memo_keys()
         curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts)
         added = memo_keys() - before
     # every raw jet the oracle asks for is a hit; it adds only its own data
-    assert {key[0] for key in added} == {
-        "oracle_inverse", "oracle_gamma", "oracle_phi_split", "oracle_sharp", "oracle_rec",
+    assert {key[0] for key in added} == ORACLE_KINDS
+
+
+def keyed_values(monkeypatch, manifold, spec, pts) -> dict:
+    """Every value one formula run and one oracle run key through the memo,
+    outside any context, by (kind, the bindings named among its owners)."""
+    frame = evaluate_spec(manifold.chart, manifold.metric, spec, pts, order=needed_order(spec))
+    values = {}
+
+    def recording(kind, owners, pts, order, compute):
+        value = compute()
+        # the formula keys on the frame's jets, the oracle on the spec's fields
+        reads = tuple(name for owner in owners for name in BINDING_NAMES
+                      if owner is getattr(frame, name) or owner is getattr(spec, name))
+        assert (kind, reads) not in values
+        values[kind, reads] = value
+        return value
+
+    with monkeypatch.context() as patch:
+        patch.setattr(curvature, "_memo", recording)
+        curvature_formula(frame)
+        curvature_direct(manifold.chart, manifold.metric, spec, pts)
+    return values
+
+
+def arrays(value) -> list:
+    if isinstance(value, tuple):
+        return [a for item in value for a in arrays(item)]
+    if dataclasses.is_dataclass(value):
+        return [a for item in vars(value).values() if item is not None for a in arrays(item)]
+    return [value]
+
+
+def test_each_curvature_entry_is_keyed_by_exactly_the_bindings_it_reads(monkeypatch, bumpy3):
+    # A missing owner would let diagnose's binding search reuse a stale value
+    # and an extra one would recompute in vain: either shows up here.
+    spec = random_spec(bumpy3.chart, 31)
+    pts = bumpy3.chart.sample(6, 32)
+    clean = keyed_values(monkeypatch, bumpy3, spec, pts)
+    assert {(name, GROUP_READS[name]) for name in GROUPS} <= set(clean)
+    assert {(kind, reads) for kind, reads in clean if kind in H_TERMS} == {
+        ("h_u_phi1", ("u", "phi")), ("h_u_phi2", ("u", "phi")), ("h_phi1_u", ("u", "phi")),
+        ("h_f1", ("f1", "u1")), ("h_f2", ("f2", "u2")),
     }
+    assert {"eta_helpers", "rec"} <= {kind for kind, _ in clean}
+    for binding in BINDING_NAMES:
+        # the zero field takes the binding's place among the owners
+        zeroed = keyed_values(monkeypatch, bumpy3, spec.with_zeroed(binding), pts)
+        assert set(zeroed) == set(clean)
+        for key, value in clean.items():
+            same = all(map(np.array_equal, arrays(value), arrays(zeroed[key])))
+            assert same == (binding not in key[1]), (key, binding)
+
+
+def test_a_failing_verify_recomputes_only_what_a_zeroed_binding_reads(monkeypatch):
+    # One failing verify: the check itself, then diagnose.  Count the group
+    # and H-addend entries each later formula and oracle call adds.
+    added = {"formula": [], "oracle": []}
+
+    def counting(path, function):
+        def wrapper(*args, **kwargs):
+            before = memo_keys()
+            result = function(*args, **kwargs)
+            new = memo_keys() - before
+            added[path].append((
+                sum(key[0] in GROUPS for key in new), sum(key[0] in H_TERMS for key in new),
+            ))
+            return result
+        return wrapper
+
+    # diagnose's calls go through the curvature module's names; the check's
+    # own calls (through affconn.cli) are not counted
+    monkeypatch.setattr(curvature, "curvature_formula",
+                        counting("formula", curvature.curvature_formula))
+    monkeypatch.setattr(curvature, "curvature_direct",
+                        counting("oracle", curvature.curvature_direct))
+    config = parse_config(json.dumps(RAW_BUMPY3))
+    code, report = cmd_verify(config, corrupt_term="h_f1")
+    assert code == 1 and report["diagnosis"]["term_table"][0]["term"] == "h_f1"
+    assert len(added["formula"]) == 14 and len(added["oracle"]) == 19
+    # diagnose's first run, its clean groups, its clean and 5 bumped oracles
+    assert added["formula"][:2] == [(0, 0), (0, 0)]
+    assert added["oracle"][:7] == [(0, 0)] * 7
+    # the ablation zeroes u, u1, u2, f1, f2, phi in turn
+    ablation = [groups for groups, _ in added["formula"][2:8]]
+    assert ablation == [sum(b in reads for reads in GROUP_READS.values()) for b in BINDING_NAMES]
+    assert ablation == [7, 5, 4, 5, 4, 7] and sum(ablation) == 32
+    assert [addends for _, addends in added["oracle"][7:13]] == [3, 1, 1, 1, 1, 3]
+    spec = config.spec
+    assert spec.with_zeroed("u").u is spec.with_zeroed("u").u
