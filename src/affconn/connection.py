@@ -326,7 +326,12 @@ def resolve_endo_jet(phi_field, geo: PointGeometry) -> Jet:
 
 @dataclass
 class PointFrame:
-    """Everything Theorem-1 checks need at one batch of points."""
+    """Everything Theorem-1 checks need at one batch of points.
+
+    H and Gamma~ are computed on first read, with ``corrupt`` applied to H:
+    the curvature formula reads neither, so a frame built only for it never
+    computes them.  Each frame computes its own, so they are writable.
+    """
 
     geo: PointGeometry
     f1: object
@@ -339,8 +344,27 @@ class PointFrame:
     u_sharp: Jet
     u1_sharp: Jet
     u2_sharp: Jet
-    h: np.ndarray
-    gamma_tilde: np.ndarray
+    corrupt: Corruption | None = None
+
+    @functools.cached_property
+    def h(self) -> np.ndarray:
+        return deformation_h(
+            self.geo.g,
+            self.u.comp,
+            self.u1.comp,
+            self.u2.comp,
+            self.f1.value,
+            self.f2.value,
+            self.split,
+            self.u_sharp.comp,
+            self.u1_sharp.comp,
+            self.u2_sharp.comp,
+            corrupt=self.corrupt,
+        )
+
+    @functools.cached_property
+    def gamma_tilde(self) -> np.ndarray:
+        return self.geo.gamma + self.h
 
 
 def evaluate_spec(
@@ -376,19 +400,6 @@ def evaluate_spec(
     phi = resolve_endo_jet(spec.phi, geo)
     split = _memo("split_phi", (spec.phi, metric_field), pts, order,
                   lambda: split_phi(phi, geo.metric, geo.inv))
-    h = deformation_h(
-        geo.g,
-        u.comp,
-        u1.comp,
-        u2.comp,
-        f1.value,
-        f2.value,
-        split,
-        us.comp,
-        u1s.comp,
-        u2s.comp,
-        corrupt=corrupt,
-    )
     return PointFrame(
         geo=geo,
         f1=f1,
@@ -401,8 +412,7 @@ def evaluate_spec(
         u_sharp=us,
         u1_sharp=u1s,
         u2_sharp=u2s,
-        h=h,
-        gamma_tilde=geo.gamma + h,
+        corrupt=corrupt,
     )
 
 

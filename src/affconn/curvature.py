@@ -177,6 +177,12 @@ def exterior_2du(eta: Jet) -> np.ndarray:
     return eta.d1 - eta.d1.swapaxes(1, 2)
 
 
+def _minus_swap(t: np.ndarray) -> np.ndarray:
+    """t(X, Y) - t(Y, X) for t in the [p, l, i, j, k] layout; the swapped
+    term is a view of t."""
+    return t - t.swapaxes(2, 3)
+
+
 def curvature_formula(
     frame: PointFrame, corrupt: Corruption | None = None
 ) -> tuple[np.ndarray, dict]:
@@ -191,6 +197,13 @@ def curvature_formula(
     evaluation context a spec with one binding zeroed recomputes only the
     groups that read it.  Values are computed when a missing group needs
     them; ``total`` is summed in ``GROUPS`` order into a fresh buffer.
+
+    Most display lines are a term minus the same term with X and Y swapped.
+    Such a pair is one einsum and its ``swapaxes(2, 3)`` view, in the place
+    the swapped term holds in the display line's sum.  Each entry is then
+    the same product of the same operands, and no sum may be regrouped, so
+    the bits are those of one einsum per term.  A group of several rank-5
+    terms sums them into one buffer in place, in the same order.
     """
     geo = frame.geo
     geo.metric.require_order(2, "curvature_formula")
@@ -232,29 +245,23 @@ def curvature_formula(
 
     def alpha_phi1():
         alpha = helpers("u").alpha
-        return -np.einsum("pjk,pli->plijk", alpha, split.phi1) + np.einsum(
-            "pik,plj->plijk", alpha, split.phi1
-        )
+        return _minus_swap(np.einsum("pik,plj->plijk", alpha, split.phi1))
 
     def a_phi1():
         avec = helpers("u").avec
-        return -np.einsum("pjk,pil->plijk", split.Phi1, avec) + np.einsum(
-            "pik,pjl->plijk", split.Phi1, avec
-        )
+        return _minus_swap(np.einsum("pik,pjl->plijk", split.Phi1, avec))
 
     def r0_mu():
         mu = mu_tensor(frame)
         mud = mu - mu.swapaxes(2, 3)
         gmud = np.einsum("pmij,pmk->pijk", mud, g)
-        return -np.einsum("pijk,pl->plijk", gmud, big_u) + np.einsum(
-            "pk,plij->plijk", u, mud
-        )
+        group = np.einsum("pk,plij->plijk", u, mud)
+        group -= np.einsum("pijk,pl->plijk", gmud, big_u)
+        return group
 
     def nabla_phi2():
         nab2 = cov_deriv_endo(split.phi2, split.phi2_d1, geo.gamma)
-        return np.einsum("pi,pjlk->plijk", u, nab2) - np.einsum(
-            "pj,pilk->plijk", u, nab2
-        )
+        return _minus_swap(np.einsum("pi,pjlk->plijk", u, nab2))
 
     def f1_block():
         du1 = exterior_2du(frame.u1)
@@ -263,26 +270,29 @@ def curvature_formula(
         r0_phix_u1 = np.einsum("pk,pli->plik", u1, phi_full) - np.einsum(
             "pik,pl->plik", big_phi, big_u1
         )
-        inner_f1 = (
-            np.einsum("pij,lk->plijk", du1, eye, order="F")
-            - np.einsum("pjk,li->plijk", helpers_u1.beta, eye, order="F")
-            + np.einsum("pik,lj->plijk", helpers_u1.beta, eye, order="F")
-            - np.einsum("pjk,pil->plijk", g, helpers_u1.bvec)
-            + np.einsum("pik,pjl->plijk", g, helpers_u1.bvec)
-            + np.einsum("pj,plik->plijk", u, r0_phix_u1)
-            - np.einsum("pi,pljk->plijk", u, r0_phix_u1)
-        )
-        return -f1[:, None, None, None, None] * inner_f1
+        beta_eye = np.einsum("pik,lj->plijk", helpers_u1.beta, eye, order="F")
+        g_bvec = np.einsum("pik,pjl->plijk", g, helpers_u1.bvec)
+        u_r0 = np.einsum("pj,plik->plijk", u, r0_phix_u1)
+        group = np.einsum("pij,lk->plijk", du1, eye, order="F")
+        group -= beta_eye.swapaxes(2, 3)
+        group += beta_eye
+        group -= g_bvec.swapaxes(2, 3)
+        group += g_bvec
+        group += u_r0
+        group -= u_r0.swapaxes(2, 3)
+        group *= -f1[:, None, None, None, None]
+        return group
 
     def f2_block():
         bvec = helpers("u2").bvec
-        inner_f2 = (
-            np.einsum("pjk,pi,pl->plijk", big_phi, u, big_u2)
-            - np.einsum("pik,pj,pl->plijk", big_phi, u, big_u2)
-            - np.einsum("pjk,pil->plijk", g, bvec)
-            + np.einsum("pik,pjl->plijk", g, bvec)
-        )
-        return f2[:, None, None, None, None] * inner_f2
+        phi_u = np.einsum("pjk,pi,pl->plijk", big_phi, u, big_u2)
+        g_bvec = np.einsum("pik,pjl->plijk", g, bvec)
+        # ((T - T') - S') + S, in the order of the display line
+        group = _minus_swap(phi_u)
+        group -= g_bvec.swapaxes(2, 3)
+        group += g_bvec
+        group *= f2[:, None, None, None, None]
+        return group
 
     def f1_sq():
         u1_u1 = np.einsum("pm,pm->p", u1, big_u1)
@@ -292,18 +302,15 @@ def curvature_formula(
         r0_x_y_u1 = np.einsum("pj,li->plij", u1, eye, order="F") - np.einsum(
             "pi,lj->plij", u1, eye, order="F"
         )
-        inner_f1sq = (
-            np.einsum("pjk,pli->plijk", g, r0_x_u1_u1)
-            - np.einsum("pik,plj->plijk", g, r0_x_u1_u1)
-            - np.einsum("pk,plij->plijk", u1, r0_x_y_u1)
-        )
-        return -(f1 * f1)[:, None, None, None, None] * inner_f1sq
+        group = _minus_swap(np.einsum("pjk,pli->plijk", g, r0_x_u1_u1))
+        group -= np.einsum("pk,plij->plijk", u1, r0_x_y_u1)
+        group *= -(f1 * f1)[:, None, None, None, None]
+        return group
 
     def f2_sq():
-        inner_f2sq = np.einsum("pjk,pi,pl->plijk", g, u2, big_u2) - np.einsum(
-            "pik,pj,pl->plijk", g, u2, big_u2
-        )
-        return (f2 * f2)[:, None, None, None, None] * inner_f2sq
+        group = _minus_swap(np.einsum("pjk,pi,pl->plijk", g, u2, big_u2))
+        group *= (f2 * f2)[:, None, None, None, None]
+        return group
 
     def f1_f2():
         # R0(X, U2)U1 - u2(X) U1, as a [p, l, i] vector-valued slot.
@@ -313,15 +320,12 @@ def curvature_formula(
             - np.einsum("pi,pl->pli", u1, big_u2)
             - np.einsum("pi,pl->pli", u2, big_u1)
         )
-        inner_f1f2 = np.einsum("pjk,pli->plijk", g, vec_f1f2) - np.einsum(
-            "pik,plj->plijk", g, vec_f1f2
-        )
-        return (f1 * f2)[:, None, None, None, None] * inner_f1f2
+        group = _minus_swap(np.einsum("pjk,pli->plijk", g, vec_f1f2))
+        group *= (f1 * f2)[:, None, None, None, None]
+        return group
 
     def grad_f2():
-        return -np.einsum("pi,pjk,pl->plijk", gf2, g, big_u2) + np.einsum(
-            "pj,pik,pl->plijk", gf2, g, big_u2
-        )
+        return _minus_swap(np.einsum("pj,pik,pl->plijk", gf2, g, big_u2))
 
     formulas = {
         "riemann": lambda: geo.riemann.r,
@@ -381,7 +385,10 @@ def _jein(spec: str, *operands, order: str = "K") -> Jet:
             args = vals.copy()
             args[t] = operands[t].d1
             term = np.einsum(dspec, *args, order=order)
-            d1 = term if d1 is None else d1 + term
+            if d1 is None:
+                d1 = term
+            else:  # a spec with two operands or more: each term is a new array
+                d1 += term
     return Jet(np.einsum(spec, *vals, order=order), d1)
 
 

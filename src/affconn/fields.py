@@ -356,6 +356,42 @@ def poly_from_json(n: int, obj, where: str = "polynomial") -> PolynomialExpr:
     terms = obj["terms"]
     if not isinstance(terms, list):
         raise SchemaError(f"{where}.terms: expected a list")
+    merged = _bulk_terms(n, terms)
+    if merged is None:
+        merged = _checked_terms(n, terms, where)
+    _check_variables(n)
+    return _canonical_sums(n, merged)
+
+
+_TERM_FIELDS = operator.itemgetter("c", "e")
+
+
+def _bulk_terms(n: int, terms: list) -> dict | None:
+    """``_checked_terms`` for a term list that passes every check, each
+    check made over the whole list at once; None if any check is in doubt,
+    for ``_checked_terms`` to name the first bad term."""
+    try:
+        if not terms or set(map(type, terms)) != {dict} or set(map(len, terms)) != {2}:
+            return None
+        cs, es = zip(*map(_TERM_FIELDS, terms))
+        if not set(map(type, cs)) <= {int, float} or not all(map(math.isfinite, cs)):
+            return None
+        if set(map(type, es)) != {list} or set(map(len, es)) != {n}:
+            return None
+        flat = list(itertools.chain.from_iterable(es))
+        if set(map(type, flat)) != {int} or min(flat) < 0 or max(flat) > _MAX_EXPONENT:
+            return None
+    except (KeyError, OverflowError, ValueError):
+        return None
+    keys = list(map(tuple, es))
+    if len(set(keys)) < len(keys):
+        return None  # repeated exponents are summed in term order
+    return dict(zip(keys, map(float, cs)))
+
+
+def _checked_terms(n: int, terms: list, where: str) -> dict:
+    """The terms as {exponent tuple: summed coefficient}, checked one by
+    one; the first bad term is named by its path."""
     merged: dict[tuple, float] = {}
     for idx, t in enumerate(terms):
         if not isinstance(t, dict) or set(t) != {"c", "e"}:
@@ -376,15 +412,29 @@ def poly_from_json(n: int, obj, where: str = "polynomial") -> PolynomialExpr:
             )
         e = tuple(e)
         merged[e] = merged.get(e, 0.0) + float(c)
-    _check_variables(n)
-    return _canonical_sums(n, merged)
+    return merged
 
 
 # ---------------------------------------------------------------------------
 # One evaluation per run
 
+class _Memo(dict):
+    """The values of one evaluation context, by (kind, owner ids, batch
+    token, order).  Each point batch is interned once: ``by_id`` maps an
+    array's id to the array (held, so the id is not reused) and its token,
+    and ``by_value`` gives equal batches one token.  Neither is a value
+    entry, so the dict itself holds only values."""
+
+    __slots__ = ("by_id", "by_value")
+
+    def __init__(self):
+        super().__init__()
+        self.by_id: dict[int, tuple[np.ndarray, int]] = {}
+        self.by_value: dict[tuple, int] = {}
+
+
 # The open memo: None outside every ``_evaluation_context``.
-_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+_MEMO: contextvars.ContextVar[_Memo | None] = contextvars.ContextVar(
     "affconn_memo", default=None
 )
 
@@ -397,7 +447,7 @@ def _evaluation_context():
     if _MEMO.get() is not None:
         yield
         return
-    token = _MEMO.set({})
+    token = _MEMO.set(_Memo())
     try:
         yield
     finally:
@@ -426,13 +476,19 @@ def _memo(kind: str, owners: tuple, pts: np.ndarray, order, compute):
 
     ``owners`` are the objects the value is computed from (fields, the
     metric), matched by identity; ``pts`` is the validated (m, n) batch,
-    matched by its values.  An entry holds its owners, so no owner's id is
-    reused while the memo lives.  Stored arrays are read-only.
+    matched by its values.  A batch's values are read once per context,
+    the first time its array is seen, so an array must not be written while
+    a context that has seen it is open.  An entry holds its owners, so no
+    owner's id is reused while the memo lives.  Stored arrays are read-only.
     """
     memo = _MEMO.get()
     if memo is None:
         return compute()
-    key = (kind, *map(id, owners), pts.shape, pts.tobytes(), order)
+    seen = memo.by_id.get(id(pts))
+    if seen is None:
+        token = memo.by_value.setdefault((pts.shape, pts.tobytes()), len(memo.by_value))
+        seen = memo.by_id[id(pts)] = (pts, token)
+    key = (kind, *map(id, owners), seen[1], order)
     entry = memo.get(key)
     if entry is None:
         entry = memo[key] = (owners, _read_only(compute()))

@@ -54,16 +54,19 @@ class RicciData:
 
 
 def inverse_metric(mj: Jet) -> Jet:
-    """Pointwise inverse with as many exact-derivative levels as the metric
-    jet supports, via d(g^-1) = -g^-1 (dg) g^-1, each product of three as
-    two two-operand einsums.  ``np.linalg.inv`` returns points-first, so
-    its result is re-laid points-last once, and every einsum after it
-    keeps that layout."""
+    """Pointwise inverse via d(g^-1) = -g^-1 (dg) g^-1, each product of
+    three as two two-operand einsums.  ``np.linalg.inv`` returns
+    points-first, so its result is re-laid points-last once, and every
+    einsum after it keeps that layout.
+
+    d1 is built at every metric order.  d2 is built only when the metric
+    jet has d3: its one reader is the second derivative of Christoffel,
+    which needs d3 too, so at order 2 it would never be read."""
     ginv = points_last(np.linalg.inv(mj.comp))
     ginv_dg = np.einsum("pim,pamj->paij", ginv, mj.d1)  # g^-1 (d_a g)
     d1 = -np.einsum("paim,pmj->paij", ginv_dg, ginv)
     d2 = None
-    if mj.d2 is not None:
+    if mj.d3 is not None:
         # d_a d_b g^-1 = -(d_a g^-1)(d_b g)g^-1 - g^-1(d_a d_b g)g^-1
         #               - g^-1(d_b g)(d_a g^-1)
         dg_ginv = np.einsum("pbim,pmj->pbij", mj.d1, ginv)
@@ -76,6 +79,14 @@ def inverse_metric(mj: Jet) -> Jet:
     return Jet(comp=ginv, d1=d1, d2=d2)
 
 
+def _lowered(d_i: np.ndarray, d_j: np.ndarray, d_m: np.ndarray) -> np.ndarray:
+    """(d_i + d_j - d_m) / 2 in one new buffer, summed in that order."""
+    low = d_i + d_j
+    low -= d_m
+    low *= 0.5
+    return low
+
+
 def christoffel(mj: Jet, inv: Jet | None = None) -> Jet:
     """Levi-Civita connection coefficients with available derivatives.
 
@@ -84,34 +95,27 @@ def christoffel(mj: Jet, inv: Jet | None = None) -> Jet:
     """
     if inv is None:
         inv = inverse_metric(mj)
-    low = 0.5 * (
-        np.einsum("pimj->pmij", mj.d1)
-        + np.einsum("pjmi->pmij", mj.d1)
-        - mj.d1
+    low = _lowered(
+        np.einsum("pimj->pmij", mj.d1), np.einsum("pjmi->pmij", mj.d1), mj.d1
     )
     gamma = np.einsum("pkm,pmij->pkij", inv.comp, low)
     d1 = d2 = None
     if mj.d2 is not None:
-        low_d1 = 0.5 * (
-            np.einsum("plimj->plmij", mj.d2)
-            + np.einsum("pljmi->plmij", mj.d2)
-            - mj.d2
+        low_d1 = _lowered(
+            np.einsum("plimj->plmij", mj.d2), np.einsum("pljmi->plmij", mj.d2), mj.d2
         )
-        d1 = np.einsum("plkm,pmij->plkij", inv.d1, low) + np.einsum(
-            "pkm,plmij->plkij", inv.comp, low_d1
-        )
+        d1 = np.einsum("plkm,pmij->plkij", inv.d1, low)
+        d1 += np.einsum("pkm,plmij->plkij", inv.comp, low_d1)
         if mj.d3 is not None:
-            low_d2 = 0.5 * (
-                np.einsum("plqimj->plqmij", mj.d3)
-                + np.einsum("plqjmi->plqmij", mj.d3)
-                - mj.d3
+            low_d2 = _lowered(
+                np.einsum("plqimj->plqmij", mj.d3),
+                np.einsum("plqjmi->plqmij", mj.d3),
+                mj.d3,
             )
-            d2 = (
-                np.einsum("plqkm,pmij->plqkij", inv.d2, low)
-                + np.einsum("plkm,pqmij->plqkij", inv.d1, low_d1)
-                + np.einsum("pqkm,plmij->plqkij", inv.d1, low_d1)
-                + np.einsum("pkm,plqmij->plqkij", inv.comp, low_d2)
-            )
+            d2 = np.einsum("plqkm,pmij->plqkij", inv.d2, low)
+            d2 += np.einsum("plkm,pqmij->plqkij", inv.d1, low_d1)
+            d2 += np.einsum("pqkm,plmij->plqkij", inv.d1, low_d1)
+            d2 += np.einsum("pkm,plqmij->plqkij", inv.comp, low_d2)
     return Jet(comp=gamma, d1=d1, d2=d2)
 
 
@@ -194,8 +198,10 @@ class PointGeometry:
 
     ``order`` is the metric jet order: 1 suffices for Gamma, 2 adds curvature
     and Ricci, 3 adds their first derivatives (needed by the Ricci-operator
-    endomorphism field's jets).  The data is read-only once computed, since
-    one geometry may serve a whole run (see ``fields._memo``).
+    endomorphism field's jets).  The inverse metric carries one derivative
+    level less than the metric, but at least d1: ``inv.d2`` is None below
+    order 3.  The data is read-only once computed, since one geometry may
+    serve a whole run (see ``fields._memo``).
     """
 
     def __init__(self, chart: Chart, metric, pts, order: int = 1):

@@ -158,6 +158,107 @@ def test_curvature_is_antisymmetric_in_the_plane_slots(bumpy2):
     assert norm_residual(direct, -direct.swapaxes(2, 3)) < 1e-14
 
 
+def display_line_groups(frame) -> dict:
+    """Every group but ``riemann`` with each term its own einsum, summed as
+    the display lines write it, one new array per operation: the reference
+    that one einsum per swapped pair, summed in place, must match bit for
+    bit."""
+    g, eye, split = frame.geo.g, np.eye(frame.geo.n), frame.split
+    u, u1, u2 = frame.u.comp, frame.u1.comp, frame.u2.comp
+    big_u, big_u1, big_u2 = frame.u_sharp.comp, frame.u1_sharp.comp, frame.u2_sharp.comp
+    f1, f2, gf1, gf2 = frame.f1.value, frame.f2.value, frame.f1.grad, frame.f2.grad
+    mu = mu_tensor(frame)
+    mud = mu - mu.swapaxes(2, 3)
+    gmud = np.einsum("pmij,pmk->pijk", mud, g)
+    rec = (
+        np.einsum("pj,lk->pljk", u1, eye, order="F")
+        + np.einsum("pk,lj->pljk", u1, eye, order="F")
+        - np.einsum("pjk,pl->pljk", g, big_u1)
+    )
+    hu, hu1, hu2 = (eta_helpers(eta, frame) for eta in (frame.u, frame.u1, frame.u2))
+    r0_phix_u1 = np.einsum("pk,pli->plik", u1, frame.phi.comp) - np.einsum(
+        "pik,pl->plik", split.Phi, big_u1
+    )
+    nab2 = levi_civita.cov_deriv_endo(split.phi2, split.phi2_d1, frame.geo.gamma)
+    r0_x_u1_u1 = np.multiply(np.einsum("pm,pm->p", u1, big_u1)[:, None, None], eye,
+                             order="F") - np.einsum("pi,pl->pli", u1, big_u1)
+    r0_x_y_u1 = np.einsum("pj,li->plij", u1, eye, order="F") - np.einsum(
+        "pi,lj->plij", u1, eye, order="F"
+    )
+    vec_f1f2 = (
+        np.multiply(np.einsum("pm,pm->p", u2, big_u1)[:, None, None], eye, order="F")
+        - np.einsum("pi,pl->pli", u1, big_u2)
+        - np.einsum("pi,pl->pli", u2, big_u1)
+    )
+    inner_f1 = (
+        np.einsum("pij,lk->plijk", exterior_2du(frame.u1), eye, order="F")
+        - np.einsum("pjk,li->plijk", hu1.beta, eye, order="F")
+        + np.einsum("pik,lj->plijk", hu1.beta, eye, order="F")
+        - np.einsum("pjk,pil->plijk", g, hu1.bvec)
+        + np.einsum("pik,pjl->plijk", g, hu1.bvec)
+        + np.einsum("pj,plik->plijk", u, r0_phix_u1)
+        - np.einsum("pi,pljk->plijk", u, r0_phix_u1)
+    )
+    inner_f2 = (
+        np.einsum("pjk,pi,pl->plijk", split.Phi, u, big_u2)
+        - np.einsum("pik,pj,pl->plijk", split.Phi, u, big_u2)
+        - np.einsum("pjk,pil->plijk", g, hu2.bvec)
+        + np.einsum("pik,pjl->plijk", g, hu2.bvec)
+    )
+    inner_f1sq = (
+        np.einsum("pjk,pli->plijk", g, r0_x_u1_u1)
+        - np.einsum("pik,plj->plijk", g, r0_x_u1_u1)
+        - np.einsum("pk,plij->plijk", u1, r0_x_y_u1)
+    )
+    inner_f2sq = np.einsum("pjk,pi,pl->plijk", g, u2, big_u2) - np.einsum(
+        "pik,pj,pl->plijk", g, u2, big_u2
+    )
+    inner_f1f2 = np.einsum("pjk,pli->plijk", g, vec_f1f2) - np.einsum(
+        "pik,plj->plijk", g, vec_f1f2
+    )
+    return {
+        "du_phi2": -np.einsum("pij,plk->plijk", exterior_2du(frame.u), split.phi2),
+        "r0_mu": -np.einsum("pijk,pl->plijk", gmud, big_u) + np.einsum("pk,plij->plijk", u, mud),
+        "xf1_block": -np.einsum("pi,pljk->plijk", gf1, rec),
+        "yf1_block": np.einsum("pj,plik->plijk", gf1, rec),
+        "alpha_phi1": -np.einsum("pjk,pli->plijk", hu.alpha, split.phi1)
+        + np.einsum("pik,plj->plijk", hu.alpha, split.phi1),
+        "a_phi1": -np.einsum("pjk,pil->plijk", split.Phi1, hu.avec)
+        + np.einsum("pik,pjl->plijk", split.Phi1, hu.avec),
+        "nabla_phi2": np.einsum("pi,pjlk->plijk", u, nab2) - np.einsum("pj,pilk->plijk", u, nab2),
+        "f1_block": -f1[:, None, None, None, None] * inner_f1,
+        "f2_block": f2[:, None, None, None, None] * inner_f2,
+        "f1_sq": -(f1 * f1)[:, None, None, None, None] * inner_f1sq,
+        "f2_sq": (f2 * f2)[:, None, None, None, None] * inner_f2sq,
+        "f1_f2": (f1 * f2)[:, None, None, None, None] * inner_f1f2,
+        "grad_f2": -np.einsum("pi,pjk,pl->plijk", gf2, g, big_u2)
+        + np.einsum("pj,pik,pl->plijk", gf2, g, big_u2),
+    }
+
+
+def same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("bumpy", {"n": 3, "eps": 0.05, "seed": 12}),
+    ("bumpy", {"n": 4, "eps": 0.05, "seed": 13}),
+    ("sphere2", {"r": 1.0}),
+])
+def test_one_einsum_per_swapped_pair_keeps_every_bit(name, params):
+    # each pair is one einsum and its swapped view; nothing may move a bit
+    man = preset_manifold(name, params)
+    spec = random_spec(man.chart, 41)
+    frame = evaluate_spec(man.chart, man.metric, spec, man.chart.sample(256, 42), order=2)
+    total, groups = curvature_formula(frame)
+    expected = {"riemann": frame.geo.riemann.r} | display_line_groups(frame)
+    assert all(same_bits(groups[group], expected[group]) for group in GROUPS)
+    expected_total = np.zeros_like(total)
+    for group in GROUPS:
+        expected_total += expected[group]
+    assert same_bits(total, expected_total)
+
+
 def test_compare_curvature_reports_per_point(bumpy2):
     spec = random_spec(bumpy2.chart, 19)
     pts = bumpy2.chart.sample(4, 20)

@@ -1,6 +1,7 @@
 """Charts, polynomial algebra, field jets, metric presets."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -334,6 +335,82 @@ def test_poly_from_json_parses_term_form():
 def test_poly_from_json_rejects_malformed_input(obj):
     with pytest.raises(SchemaError):
         poly_from_json(2, obj, where="u[0]")
+
+
+def per_term_loop(n, terms, where):
+    """``poly_from_json``'s term checks one term at a time, as they were
+    before the whole-list checks: the reference for every outcome."""
+    merged = {}
+    for idx, t in enumerate(terms):
+        if not isinstance(t, dict) or set(t) != {"c", "e"}:
+            raise SchemaError(f"{where}.terms[{idx}]: expected {{'c': num, 'e': [ints]}}")
+        c, e = t["c"], t["e"]
+        if isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c):
+            raise SchemaError(f"{where}.terms[{idx}].c: expected a finite number")
+        if (
+            not isinstance(e, list)
+            or len(e) != n
+            or any(
+                isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= 2**63 - 1
+                for k in e
+            )
+        ):
+            raise SchemaError(
+                f"{where}.terms[{idx}].e: expected {n} integers from 0 to 2^63 - 1"
+            )
+        e = tuple(e)
+        merged[e] = merged.get(e, 0.0) + float(c)
+    return [(e, c) for e, c in sorted(merged.items()) if c != 0.0]
+
+
+# One bad or edge-case entry per mutation; a mutation returns the new term.
+TERM_MUTATIONS = (
+    lambda t: t | {"e": [True, *t["e"][1:]]},
+    lambda t: t | {"e": [1.0, *t["e"][1:]]},
+    lambda t: t | {"e": [-1, *t["e"][1:]]},
+    lambda t: t | {"e": [2**63, *t["e"][1:]]},
+    lambda t: t | {"e": [2**63 - 1, *t["e"][1:]]},
+    lambda t: t | {"e": t["e"][1:]},
+    lambda t: t | {"e": [*t["e"], 0]},
+    lambda t: t | {"e": tuple(t["e"])},
+    lambda t: t | {"x": 1},
+    lambda t: {"e": t["e"]},
+    lambda t: t | {"c": float("inf")},
+    lambda t: t | {"c": float("-inf")},
+    lambda t: t | {"c": float("nan")},
+    lambda t: t | {"c": True},
+    lambda t: t | {"c": "1"},
+    lambda t: t | {"c": -0.0},
+    lambda t: t | {"c": 2**70},
+    lambda t: [t["c"], t["e"]],
+    lambda t: None,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_whole_list_term_checks_match_the_per_term_loop(n, data):
+    term = st.fixed_dictionaries({
+        "c": st.one_of(st.floats(-1e3, 1e3), st.integers(-3, 3)),
+        "e": st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    })
+    terms = data.draw(st.lists(term, max_size=8))
+    mutations = data.draw(st.dictionaries(
+        st.integers(0, len(terms) - 1), st.sampled_from(TERM_MUTATIONS), max_size=2
+    )) if terms else {}
+    for idx, mutate in mutations.items():
+        terms[idx] = mutate(terms[idx])
+
+    def outcome(parse):
+        try:
+            return [(e, c.hex()) for e, c in parse()]
+        except Exception as exc:  # the exact error, whatever its type
+            return type(exc), str(exc)
+
+    got = outcome(lambda: poly_from_json(n, {"terms": terms}, "u[1]").terms.items())
+    assert got == outcome(lambda: per_term_loop(n, terms, "u[1]"))
+    if not mutations and len({tuple(t["e"]) for t in terms}) == len(terms) > 0:
+        assert fields._bulk_terms(n, terms) is not None  # the whole-list path took it
 
 
 def test_poly_from_json_errors_carry_the_path():

@@ -269,3 +269,14 @@ def test_point_geometry_order_gates(bumpy2):
     assert geo2.ricci.q_d1 is None  # derivative needs order 3
     geo3, _ = geometry(bumpy2, 3, 24, order=3)
     assert geo3.ricci.q_d1 is not None
+
+
+def test_the_inverse_metric_builds_d2_only_at_order_three(bumpy2):
+    # d2(g^-1) has one reader, Christoffel's d2, which needs the metric's d3
+    geo2, pts = geometry(bumpy2, 3, 25, order=2)
+    assert geo2.inv.d1 is not None and geo2.inv.d2 is None
+    assert geo2.christoffel.d1 is not None and geo2.christoffel.d2 is None
+    assert inverse_metric(bumpy2.metric.jet(pts, 2)).d2 is None
+    geo3, _ = geometry(bumpy2, 3, 25, order=3)
+    assert geo3.inv.d2 is not None and geo3.christoffel.d2 is not None
+    assert np.array_equal(geo3.inv.d1, geo2.inv.d1)

@@ -16,10 +16,13 @@ import numpy as np
 import pytest
 
 from affconn import (
+    Corruption,
     H_TERMS,
     PolynomialExpr,
     PolynomialOneFormField,
     build_case,
+    cli,
+    connection,
     curvature,
     curvature_direct,
     curvature_formula,
@@ -268,3 +271,26 @@ def test_a_failing_verify_recomputes_only_what_a_zeroed_binding_reads(monkeypatc
     assert [addends for _, addends in added["oracle"][7:13]] == [3, 1, 1, 1, 1, 3]
     spec = config.spec
     assert spec.with_zeroed("u").u is spec.with_zeroed("u").u
+
+
+def test_a_failing_verify_computes_h_once(monkeypatch):
+    # Only the check's own frame reads H and Gamma~; diagnose builds its
+    # frames for the curvature formula, which reads neither.
+    corruptions, frames = [], []
+    deformation_h, evaluate = connection.deformation_h, connection.evaluate_spec
+
+    def counted_h(*args, corrupt=None):
+        corruptions.append(corrupt)
+        return deformation_h(*args, corrupt=corrupt)
+
+    def counted_frames(*args, **kwargs):
+        frames.append(evaluate(*args, **kwargs))
+        return frames[-1]
+
+    monkeypatch.setattr(connection, "deformation_h", counted_h)
+    for module in (curvature, cli):
+        monkeypatch.setattr(module, "evaluate_spec", counted_frames)
+    code, report = cmd_verify(parse_config(json.dumps(RAW_BUMPY3)), corrupt_term="h_f1")
+    assert code == 1 and report["diagnosis"]["term_table"][0]["term"] == "h_f1"
+    assert len(frames) == 15 and corruptions == [Corruption("h_f1", 2.0)]
+    assert "h" in vars(frames[0]) and not any("h" in vars(frame) for frame in frames[1:])
