@@ -76,6 +76,7 @@ from .fields import (
     PolynomialOneFormField,
     PolynomialScalarField,
     _evaluation_context,
+    _is_finite,
     poly_from_json,
     preset_manifold,
 )
@@ -134,7 +135,7 @@ def _expect_dict(obj, where: str) -> dict:
 def _number(obj, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SchemaError(f"{where}: expected a number")
-    if not math.isfinite(obj):
+    if not _is_finite(obj):
         raise SchemaError(f"{where}: expected a finite number")
     return float(obj)
 

@@ -32,7 +32,7 @@ from .connection import (
     sharp,
 )
 from .errors import BadParams
-from .fields import Chart, Jet, _evaluation_context, _memo, points_last
+from .fields import Chart, Jet, _evaluation_context, _memo, batch_zeros, points_last
 from .levi_civita import (
     PointGeometry,
     cov_deriv_endo,
@@ -97,6 +97,12 @@ GROUP_READS = {
 }
 
 BINDING_NAMES = ("u", "u1", "u2", "f1", "f2", "phi")
+
+# Bytes of curvature per oracle block.  The oracle's temporaries, a few
+# per block of this size, then stay within a core's L2 cache instead of
+# being fresh full-batch allocations.  Fixed by measurement (README,
+# "Memory layout").
+_ORACLE_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -392,6 +398,11 @@ def _jein(spec: str, *operands, order: str = "K") -> Jet:
     return Jet(np.einsum(spec, *vals, order=order), d1)
 
 
+def _rows(jet: Jet, block: slice) -> Jet:
+    """The points ``block`` of ``jet``, a view of each level."""
+    return Jet(*(level[block] for level in jet.levels))
+
+
 def curvature_direct(
     chart: Chart,
     metric_field,
@@ -410,6 +421,14 @@ def curvature_direct(
     reads), and only the raw field jets are common to both paths.
     ``corrupt`` scales a copy of one addend; Gamma~ is summed in a fixed
     order into fresh buffers, so no memoised value is written.
+
+    The raw jets are evaluated once, on the whole batch: the jet evaluator's
+    matmul may round differently at another batch size.  Everything after
+    them runs block by block, ``_ORACLE_BLOCK_BYTES`` of curvature at a
+    time, so its temporaries stay cache-sized (README, "Memory layout"),
+    and is memoised per block, keyed by the block's points.  A point's
+    arithmetic does not depend on its block, so every block size gives the
+    same bits; a batch that fits in one block goes through as it is.
     """
     pts = chart.require_inside(pts)
     order = needed_order(spec)
@@ -421,56 +440,71 @@ def curvature_direct(
     else:
         phi = spec.phi.jet(pts)
 
-    def oracle_memo(kind, compute, *fields):
-        return _memo(kind, (*fields, metric_field), pts, order, compute)
+    def block_half(pts, g, f1, f2, u, u1, u2, phi):
+        """The half of R~ at one block that its X<->Y swap completes."""
 
-    def inverse():
-        ginv_v = points_last(np.linalg.inv(g.comp))
-        dg_ginv = np.einsum("pkim,pmj->pkij", g.d1, ginv_v)
-        return Jet(ginv_v, -np.einsum("pim,pkmj->pkij", ginv_v, dg_ginv))
+        def oracle_memo(kind, compute, *fields):
+            return _memo(kind, (*fields, metric_field), pts, order, compute)
 
-    def christoffel_symbols():
-        dg = Jet(g.d1, g.d2)  # d_k g_ij as a field of its own
-        low = 0.5 * (_jein("pimj->pmij", dg) + _jein("pjmi->pmij", dg) - dg)
-        return _jein("pkm,pmij->pkij", ginv, low)
+        def inverse():
+            ginv_v = points_last(np.linalg.inv(g.comp))
+            dg_ginv = np.einsum("pkim,pmj->pkij", g.d1, ginv_v)
+            return Jet(ginv_v, -np.einsum("pim,pkmj->pkij", ginv_v, dg_ginv))
 
-    def phi_split():
-        raw = _jein("pmi,pmj->pij", phi, g)
-        p1 = 0.5 * (raw + _jein("pji->pij", raw))
-        phi1 = _jein("pim,pmk->pki", p1, ginv)
-        return p1, phi1, phi - phi1  # raising Phi1 + Phi2 = Phi gives back phi
+        def christoffel_symbols():
+            dg = Jet(g.d1, g.d2)  # d_k g_ij as a field of its own
+            low = 0.5 * (_jein("pimj->pmij", dg) + _jein("pjmi->pmij", dg) - dg)
+            return _jein("pkm,pmij->pkij", ginv, low)
 
-    def recurrence():
-        u1_eye = _jein("pi,kj->pkij", u1, np.eye(chart.n), order="F")
-        return u1_eye + _jein("pkji->pkij", u1_eye) - _jein("pij,pk->pkij", g, big_u1)
+        def phi_split():
+            raw = _jein("pmi,pmj->pij", phi, g)
+            p1 = 0.5 * (raw + _jein("pji->pij", raw))
+            phi1 = _jein("pim,pmk->pki", p1, ginv)
+            return p1, phi1, phi - phi1  # raising Phi1 + Phi2 = Phi gives back phi
 
-    ginv = oracle_memo("oracle_inverse", inverse)
-    gamma = oracle_memo("oracle_gamma", christoffel_symbols)
-    p1, phi1, phi2 = oracle_memo("oracle_phi_split", phi_split, spec.phi)
-    big_u, big_u1, big_u2 = (
-        oracle_memo("oracle_sharp", lambda: _jein("pkm,pm->pk", ginv, jet), w)
-        for w, jet in ((spec.u, u), (spec.u1, u1), (spec.u2, u2))
-    )
-    rec = oracle_memo("oracle_rec", recurrence, spec.u1)
-    # each H addend up to its sign, keyed by fault-injection name, with the
-    # bindings it reads besides the metric
-    addends = {
-        "h_u_phi1": (lambda: _jein("pj,pki->pkij", u, phi1), spec.u, spec.phi),
-        "h_u_phi2": (lambda: _jein("pi,pkj->pkij", u, phi2), spec.u, spec.phi),
-        "h_phi1_u": (lambda: _jein("pij,pk->pkij", p1, big_u), spec.u, spec.phi),
-        "h_f1": (lambda: _jein("p,pkij->pkij", f1, rec), spec.f1, spec.u1),
-        "h_f2": (lambda: _jein("p,pij,pk->pkij", f2, g, big_u2), spec.f2, spec.u2),
-    }
-    h = {name: oracle_memo(name, *addend) for name, addend in addends.items()}
-    if corrupt is not None and corrupt.name in h:
-        h[corrupt.name] = corrupt.factor * h[corrupt.name]
-    gt = gamma + h["h_u_phi1"]  # one buffer per level, summed left to right
-    comp, d1 = gt.comp, gt.d1
-    for name in ("h_u_phi2", "h_phi1_u", "h_f1", "h_f2"):
-        comp -= h[name].comp
-        d1 -= h[name].d1
-    half = np.einsum("piljk->plijk", gt.d1) + np.einsum("plim,pmjk->plijk", gt.comp, gt.comp)
-    return half - half.swapaxes(2, 3)
+        def recurrence():
+            u1_eye = _jein("pi,kj->pkij", u1, np.eye(chart.n), order="F")
+            return u1_eye + _jein("pkji->pkij", u1_eye) - _jein("pij,pk->pkij", g, big_u1)
+
+        ginv = oracle_memo("oracle_inverse", inverse)
+        gamma = oracle_memo("oracle_gamma", christoffel_symbols)
+        p1, phi1, phi2 = oracle_memo("oracle_phi_split", phi_split, spec.phi)
+        big_u, big_u1, big_u2 = (
+            oracle_memo("oracle_sharp", lambda: _jein("pkm,pm->pk", ginv, jet), w)
+            for w, jet in ((spec.u, u), (spec.u1, u1), (spec.u2, u2))
+        )
+        rec = oracle_memo("oracle_rec", recurrence, spec.u1)
+        # each H addend up to its sign, keyed by fault-injection name, with the
+        # bindings it reads besides the metric
+        addends = {
+            "h_u_phi1": (lambda: _jein("pj,pki->pkij", u, phi1), spec.u, spec.phi),
+            "h_u_phi2": (lambda: _jein("pi,pkj->pkij", u, phi2), spec.u, spec.phi),
+            "h_phi1_u": (lambda: _jein("pij,pk->pkij", p1, big_u), spec.u, spec.phi),
+            "h_f1": (lambda: _jein("p,pkij->pkij", f1, rec), spec.f1, spec.u1),
+            "h_f2": (lambda: _jein("p,pij,pk->pkij", f2, g, big_u2), spec.f2, spec.u2),
+        }
+        h = {name: oracle_memo(name, *addend) for name, addend in addends.items()}
+        if corrupt is not None and corrupt.name in h:
+            h[corrupt.name] = corrupt.factor * h[corrupt.name]
+        gt = gamma + h["h_u_phi1"]  # one buffer per level, summed left to right
+        comp, d1 = gt.comp, gt.d1
+        for name in ("h_u_phi2", "h_phi1_u", "h_f1", "h_f2"):
+            comp -= h[name].comp
+            d1 -= h[name].d1
+        return np.einsum("piljk->plijk", gt.d1) + np.einsum("plim,pmjk->plijk", gt.comp, gt.comp)
+
+    jets = (g, f1, f2, u, u1, u2, phi)
+    m, n = pts.shape
+    step = max(1, _ORACLE_BLOCK_BYTES // (8 * n**4))
+    r = batch_zeros(m, (n,) * 4)
+    for start in range(0, m, step):
+        block = slice(start, start + step)
+        if m <= step:  # one block: the batch as it is, no views
+            half = block_half(pts, *jets)
+        else:
+            half = block_half(pts[block], *(_rows(jet, block) for jet in jets))
+        np.subtract(half, half.swapaxes(2, 3), out=r[block])
+    return r
 
 
 @dataclass(frozen=True)

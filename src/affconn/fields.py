@@ -342,13 +342,23 @@ def _canonical_sums(n: int, sums: dict) -> PolynomialExpr:
     return _canonical(n, {e: c for e, c in sorted(sums.items()) if c != 0.0})
 
 
+def _is_finite(x) -> bool:
+    """Whether the JSON number ``x`` (an int or a float) is a finite float.
+    An integer too large for a float is not: ``math.isfinite`` raises
+    OverflowError on it, and a config check must name it instead."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def poly_from_json(n: int, obj, where: str = "polynomial") -> PolynomialExpr:
     """Parse ``{"terms": [{"c": coeff, "e": [exponents]}]}``; bare numbers
     are accepted as constants."""
     if isinstance(obj, bool):
         raise SchemaError(f"{where}: expected a polynomial, got a boolean")
     if isinstance(obj, (int, float)):
-        if not math.isfinite(obj):
+        if not _is_finite(obj):
             raise SchemaError(f"{where}: expected a finite number")
         return PolynomialExpr.constant(n, obj)
     if not isinstance(obj, dict) or set(obj) != {"terms"}:
@@ -397,7 +407,7 @@ def _checked_terms(n: int, terms: list, where: str) -> dict:
         if not isinstance(t, dict) or set(t) != {"c", "e"}:
             raise SchemaError(f"{where}.terms[{idx}]: expected {{'c': num, 'e': [ints]}}")
         c, e = t["c"], t["e"]
-        if isinstance(c, bool) or not isinstance(c, (int, float)) or not math.isfinite(c):
+        if isinstance(c, bool) or not isinstance(c, (int, float)) or not _is_finite(c):
             raise SchemaError(f"{where}.terms[{idx}].c: expected a finite number")
         if (
             not isinstance(e, list)
@@ -1059,7 +1069,7 @@ def _int_param(params: dict, key: str, minimum: int, maximum: int | None = None)
 
 def _float_param(params: dict, key: str, default: float) -> float:
     v = params.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not _is_finite(v):
         raise BadParams(f"preset parameter {key!r} must be a finite number")
     return float(v)
 

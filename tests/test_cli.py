@@ -517,6 +517,30 @@ def test_non_finite_config_numbers_are_rejected_with_their_path(tmp_path, capsys
     assert f"{where}: expected a finite number" in err
 
 
+HUGE = 10**400  # a JSON integer no float holds: math.isfinite raises on it
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"connection": {"raw": {"f1": {"terms": [{"c": HUGE, "e": [1, 0]}]}}}},
+         "connection.raw.f1.terms[0].c: expected a finite number"),
+        ({"connection": {"raw": {"f2": HUGE}}}, "connection.raw.f2: expected a finite number"),
+        ({"manifold": {"chart": {"lower": [-1.0, -1.0], "upper": [1.0, HUGE]},
+                       "metric": [[1.0, 0], [0, 1.0]]}},
+         "manifold.chart.upper[1]: expected a finite number"),
+        ({"points": [[1.0, 0.0], [0.5, HUGE]]}, "points[1][1]: expected a finite number"),
+        ({"manifold": {"preset": "sphere2", "r": HUGE}},
+         "manifold: preset parameter 'r' must be a finite number"),
+    ],
+)
+def test_huge_json_integers_are_config_errors_with_their_path(tmp_path, capsys, patch, message):
+    path = config_file(tmp_path, dict(MINIMAL, **patch))
+    code, out, err = run_main(capsys, "verify", "--config", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "patch, message",
     [

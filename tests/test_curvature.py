@@ -1,6 +1,7 @@
 """Closed-form curvature of the deformed connection against a direct oracle."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from affconn import (
     BadParams,
     ConnectionSpec,
     Corruption,
+    H_TERMS,
     IdentityEndoField,
     PolynomialOneFormField,
     PolynomialScalarField,
+    build_case,
     compare_curvature,
     curvature_direct,
     curvature_formula,
@@ -25,7 +28,7 @@ from affconn import (
     preset_manifold,
     random_spec,
 )
-from affconn import connection, levi_civita
+from affconn import connection, curvature, fields, levi_civita
 from affconn.cases import RicciOperatorEndoField
 from affconn.curvature import GROUPS, _jein, eta_helpers, exterior_2du, mu_tensor, r0
 from affconn.fields import Jet, PolynomialEndoField, PolynomialExpr, random_polynomial
@@ -257,6 +260,77 @@ def test_one_einsum_per_swapped_pair_keeps_every_bit(name, params):
     for group in GROUPS:
         expected_total += expected[group]
     assert same_bits(total, expected_total)
+
+
+# ---------------------------------------------------------- oracle blocks
+
+
+RANDOM_ORACLE_CASES = {
+    "bumpy3": ("bumpy", {"n": 3, "eps": 0.05, "seed": 12}, 300),
+    "bumpy4": ("bumpy", {"n": 4, "eps": 0.05, "seed": 13}, 301),
+    "sphere2": ("sphere2", {"r": 1.0}, 300),
+    "half_plane": ("half_plane", {"k": 1.0}, 300),
+}
+
+
+def oracle_input(name):
+    """(manifold, spec, points) for one blocked-oracle case."""
+    if name == "ricci":  # phi derived from the geometry, at metric order 3
+        man = preset_manifold("bumpy", {"n": 3, "eps": 0.05, "seed": 12})
+        rng = np.random.default_rng(45)
+        omega = PolynomialOneFormField(3, [random_polynomial(3, rng) for _ in range(3)])
+        return man, build_case("2", {"u": omega}, man), man.chart.sample(300, 46)
+    if name == "case17":  # one field bound to both u1 and u2
+        man = preset_manifold("sphere2", {"r": 1.0})
+        omega = PolynomialOneFormField(2, [x2, x1 * x2])
+        return man, build_case("17", {"omega": omega}, man), man.chart.sample(300, 47)
+    preset, params, m = RANDOM_ORACLE_CASES[name]
+    man = preset_manifold(preset, params)
+    return man, random_spec(man.chart, 43), man.chart.sample(m, 44)
+
+
+@pytest.mark.parametrize("name", ["bumpy3", "bumpy4", "sphere2", "half_plane", "ricci", "case17"])
+def test_oracle_blocks_keep_every_bit(monkeypatch, name):
+    # Each point's arithmetic must not depend on its block: one point per
+    # block, 7 and one block must agree bit for bit with the default.  The
+    # last block is short at 7 points of 300 and at the default 128 of 301.
+    man, spec, pts = oracle_input(name)
+    n = man.chart.n
+    corruptions = [None]
+    if name == "bumpy3":
+        corruptions += [Corruption(term, 2.0) for term in H_TERMS]
+    for corrupt in corruptions:
+        default = curvature_direct(man.chart, man.metric, spec, pts, corrupt=corrupt)
+        for block_bytes in (1, 7 * 8 * n**4, 2**62):
+            monkeypatch.setattr(curvature, "_ORACLE_BLOCK_BYTES", block_bytes)
+            blocked = curvature_direct(man.chart, man.metric, spec, pts, corrupt=corrupt)
+            assert same_bits(blocked, default), (corrupt, block_bytes)
+        monkeypatch.undo()
+
+
+def test_the_oracle_works_in_blocks_on_jets_of_the_whole_batch(monkeypatch):
+    man, spec, _ = oracle_input("bumpy4")
+    pts = man.chart.sample(2000, 48)
+    curvature_direct(man.chart, man.metric, spec, pts)  # plans every jet
+    batches = []
+    apply = fields._JetPlan.apply
+
+    def counted(plan, pts):
+        batches.append(len(pts))
+        return apply(plan, pts)
+
+    monkeypatch.setattr(fields._JetPlan, "apply", counted)
+    tracemalloc.start()
+    try:
+        r = curvature_direct(man.chart, man.metric, spec, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the metric and the six bindings, each once on the whole batch
+    assert batches == [2000] * 7
+    # 15.4x in one whole-batch block; the jets of the whole batch are most
+    # of what is left
+    assert peak < 6 * r.nbytes, peak / r.nbytes
 
 
 def test_compare_curvature_reports_per_point(bumpy2):

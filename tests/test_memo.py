@@ -294,3 +294,25 @@ def test_a_failing_verify_computes_h_once(monkeypatch):
     assert code == 1 and report["diagnosis"]["term_table"][0]["term"] == "h_f1"
     assert len(frames) == 15 and corruptions == [Corruption("h_f1", 2.0)]
     assert "h" in vars(frames[0]) and not any("h" in vars(frame) for frame in frames[1:])
+
+
+def test_the_oracle_keys_its_entries_by_block(monkeypatch, bumpy3):
+    # blocks of 4 points: a batch of 10 spans 3, the last one short
+    monkeypatch.setattr(curvature, "_ORACLE_BLOCK_BYTES", 4 * 8 * 3**4)
+    blocks = 3
+    spec = random_spec(bumpy3.chart, 33)
+    pts = bumpy3.chart.sample(10, 34)
+    with _evaluation_context():
+        first = curvature_direct(bumpy3.chart, bumpy3.metric, spec, pts)
+        keys = memo_keys()
+        # a key ends in (batch token, order): each block is its own batch
+        assert len({key[-2] for key in keys if key[0] in ORACLE_KINDS}) == blocks
+        assert np.array_equal(curvature_direct(bumpy3.chart, bumpy3.metric, spec, pts), first)
+        assert memo_keys() == keys  # a repeated call hits in every block
+        added = []
+        for name in BINDING_NAMES:
+            before = memo_keys()
+            curvature_direct(bumpy3.chart, bumpy3.metric, spec.with_zeroed(name), pts)
+            added.append(sum(key[0] in H_TERMS for key in memo_keys() - before))
+    # the one-block counts of a zeroed binding, once per block
+    assert added == [blocks * count for count in (3, 1, 1, 1, 1, 3)]
