@@ -20,6 +20,7 @@ one batch.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,8 +33,9 @@ from .fields import (
     PolynomialOneFormField,
     PolynomialScalarField,
     _memo,
+    _random_polynomials,
+    _shared_monomials,
     as_points,
-    random_polynomial,
 )
 from .levi_civita import PointGeometry
 
@@ -129,6 +131,19 @@ class ConnectionSpec:
         return replace(
             self, **{k: zero for k in _BINDING_KINDS if getattr(self, k) is old}
         )
+
+    def jets(self, pts) -> dict:
+        """The jet at the (m, n) batch ``pts`` of each binding that evaluates
+        at points, keyed by field: aliased bindings get one jet, and a
+        geometry-derived phi (see ``resolve_endo_jet``) is left out.
+
+        The polynomial bindings share one monomial table per basis
+        (``fields._shared_monomials``); each keeps its own matmul.  A field's
+        ``jet`` alone is the one-field case: the same plan, table and matmul.
+        """
+        fields = dict.fromkeys(getattr(self, name) for name in _BINDING_KINDS)
+        with _shared_monomials():
+            return {f: f.jet(pts) for f in fields if not hasattr(f, "jet_geo")}
 
 
 _BINDING_KINDS = {
@@ -383,21 +398,23 @@ def evaluate_spec(
     # asked for (the Ricci operator's 1-jet takes metric order 3).
     order = max(order, getattr(spec.phi, "min_metric_order", 1))
     pts = as_points(pts, chart.n)  # PointGeometry checks it is inside the chart
-    geo = _memo("geometry", (chart, metric_field), pts, order,
-                lambda: PointGeometry(chart, metric_field, pts, order=order))
-    f1 = spec.f1.jet(pts)
-    f2 = spec.f2.jet(pts)
+    with _shared_monomials():  # the metric shares the bindings' tables
+        geo = _memo("geometry", (chart, metric_field), pts, order,
+                    lambda: PointGeometry(chart, metric_field, pts, order=order))
+        jets = spec.jets(pts)
+        phi = jets.get(spec.phi)
+        if phi is None:
+            phi = resolve_endo_jet(spec.phi, geo)
+    f1, f2 = jets[spec.f1], jets[spec.f2]
     # Aliased bindings get one jet object and one sharp, hence bit-identical
     # values, inside an evaluation context or not.
     forms = (spec.u, spec.u1, spec.u2)
-    jets = {w: w.jet(pts) for w in dict.fromkeys(forms)}
     sharps = {
-        w: _memo("sharp", (w, metric_field), pts, order, lambda: sharp(jet, geo.inv))
-        for w, jet in jets.items()
+        w: _memo("sharp", (w, metric_field), pts, order, lambda: sharp(jets[w], geo.inv))
+        for w in dict.fromkeys(forms)
     }
     u, u1, u2 = (jets[w] for w in forms)
     us, u1s, u2s = (sharps[w] for w in forms)
-    phi = resolve_endo_jet(spec.phi, geo)
     split = _memo("split_phi", (spec.phi, metric_field), pts, order,
                   lambda: split_phi(phi, geo.metric, geo.inv))
     return PointFrame(
@@ -421,19 +438,18 @@ def random_spec(chart: Chart, rng, degree: int = 3) -> ConnectionSpec:
 
     phi is a full endomorphism (neither symmetric nor skew) so both phi1 and
     phi2 branches of H are exercised.  Generation order is fixed, so a seeded
-    rng reproduces the spec.
+    rng reproduces the spec: its 2 + 3n + n^2 polynomials come from one draw,
+    in the order of the bindings.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     n = chart.n
+    polys = iter(_random_polynomials(n, rng, 2 + 3 * n + n * n, degree))
 
-    def poly():
-        return random_polynomial(n, rng, degree)
+    def take(count: int) -> list:
+        return list(itertools.islice(polys, count))
 
-    f1 = PolynomialScalarField(n, poly())
-    f2 = PolynomialScalarField(n, poly())
-    u = PolynomialOneFormField(n, [poly() for _ in range(n)])
-    u1 = PolynomialOneFormField(n, [poly() for _ in range(n)])
-    u2 = PolynomialOneFormField(n, [poly() for _ in range(n)])
-    phi = PolynomialEndoField(n, [[poly() for _ in range(n)] for _ in range(n)])
+    f1, f2 = (PolynomialScalarField(n, p) for p in take(2))
+    u, u1, u2 = (PolynomialOneFormField(n, take(n)) for _ in range(3))
+    phi = PolynomialEndoField(n, [take(n) for _ in range(n)])
     return ConnectionSpec(n=n, f1=f1, f2=f2, u=u, u1=u1, u2=u2, phi=phi)

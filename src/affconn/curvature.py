@@ -32,7 +32,9 @@ from .connection import (
     sharp,
 )
 from .errors import BadParams
-from .fields import Chart, Jet, _evaluation_context, _memo, batch_zeros, points_last
+from .fields import (
+    Chart, Jet, _evaluation_context, _memo, _shared_monomials, batch_zeros, points_last,
+)
 from .levi_civita import (
     PointGeometry,
     cov_deriv_endo,
@@ -432,13 +434,14 @@ def curvature_direct(
     """
     pts = chart.require_inside(pts)
     order = needed_order(spec)
-    g = metric_field.jet(pts, order=order)
-    f1, f2 = (Jet(j.value, j.grad) for j in (spec.f1.jet(pts), spec.f2.jet(pts)))
-    u, u1, u2 = spec.u.jet(pts), spec.u1.jet(pts), spec.u2.jet(pts)
-    if hasattr(spec.phi, "jet_geo"):
-        phi = spec.phi.jet_geo(PointGeometry(chart, metric_field, pts, order=order))
-    else:
-        phi = spec.phi.jet(pts)
+    with _shared_monomials():  # the metric shares the bindings' tables
+        g = metric_field.jet(pts, order=order)
+        jets = spec.jets(pts)
+        phi = jets.get(spec.phi)
+        if phi is None:
+            phi = spec.phi.jet_geo(PointGeometry(chart, metric_field, pts, order=order))
+    f1, f2 = (Jet(j.value, j.grad) for j in (jets[spec.f1], jets[spec.f2]))
+    u, u1, u2 = (jets[w] for w in (spec.u, spec.u1, spec.u2))
 
     def block_half(pts, g, f1, f2, u, u1, u2, phi):
         """The half of R~ at one block that its X<->Y swap completes."""

@@ -9,7 +9,10 @@ Polynomial fields are immutable: their component containers are tuples.
 Each one keeps a jet plan per derivative order, built from its polynomials
 on the first jet call; every call after that only applies the plan to its
 batch of points (see ``_JetPlan``).  Planning lowers columns of one dense
-coefficient block and builds no derivative polynomial.
+coefficient block and builds no derivative polynomial.  Fields evaluated
+together at one batch (a spec's bindings and its metric) share one table of
+monomial values per basis (``_shared_monomials``); each keeps its own
+matmul.
 
 Polynomial terms are checked once, where they enter: the public
 ``PolynomialExpr`` constructor and ``poly_from_json``.  The package's own
@@ -40,7 +43,6 @@ Array layout conventions (shared by the whole package):
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import functools
 import itertools
@@ -449,19 +451,45 @@ _MEMO: contextvars.ContextVar[_Memo | None] = contextvars.ContextVar(
 )
 
 
-@contextlib.contextmanager
+# The monomial tables of the open ``_shared_monomials`` scope: None outside
+# every scope.
+_TABLES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "affconn_tables", default=None
+)
+
+
+class _Scope:
+    """A ``with`` block that sets ``var`` to ``fresh()``; inside a scope of
+    ``var`` that is already open, it joins that one instead.  The value is
+    dropped when the outermost scope exits."""
+
+    __slots__ = ("var", "fresh", "token")
+
+    def __init__(self, var: contextvars.ContextVar, fresh):
+        self.var, self.fresh, self.token = var, fresh, None
+
+    def __enter__(self):
+        if self.var.get() is None:
+            self.token = self.var.set(self.fresh())
+
+    def __exit__(self, *exc):
+        if self.token is not None:
+            self.var.reset(self.token)
+
+
 def _evaluation_context():
     """Scope inside which ``_memo`` computes each value once.  A context
     opened inside another joins it; the memo and every value in it are
     dropped when the outermost one exits."""
-    if _MEMO.get() is not None:
-        yield
-        return
-    token = _MEMO.set(_Memo())
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
+    return _Scope(_MEMO, _Memo)
+
+
+def _shared_monomials():
+    """Scope inside which polynomial jets at one point batch share their
+    monomial tables: each (basis, batch) is tabled once, by the first plan
+    that needs it (``_monomials_at``).  A scope opened inside another joins
+    it; the tables are dropped when the outermost one exits."""
+    return _Scope(_TABLES, dict)
 
 
 def _read_only(value):
@@ -607,11 +635,18 @@ class _Lowering:
     monomial j + e_k (the zero column if that is not in the basis) times
     its exponent k, the factor ``deriv`` multiplies by.
 
-    One instance serves every plan over the same (n, order, support), so
-    nothing may write to it.
+    ``monomials`` tables every basis monomial at a batch of points: a power
+    table ``x_i^k`` over the exponents that occur (``levels``), multiplied
+    out per monomial (``index`` picks its powers).  ``key`` names the basis,
+    so lowerings of other orders over the same basis share tables.
+
+    One instance serves every plan over the same (n, order, support), so its
+    arrays are read-only.
     """
 
-    __slots__ = ("basis", "column", "exponents", "multis", "steps", "slots")
+    __slots__ = (
+        "basis", "column", "exponents", "multis", "steps", "slots", "levels", "index", "key",
+    )
 
     def __init__(self, n: int, order: int, support: frozenset):
         basis, frontier = set(support), support
@@ -643,6 +678,35 @@ class _Lowering:
                 gather[ks][:, None, :], factor[ks][:, None, :],
             ))
             first = stop
+        self.levels = np.unique(self.exponents)
+        self.index = (np.arange(n), np.searchsorted(self.levels, self.exponents))
+        self.key = self.exponents.tobytes()
+        for arr in (self.exponents, self.slots, self.levels, *self.index,
+                    *(arr for step in self.steps for arr in step[2:])):
+            arr.setflags(write=False)
+
+    def monomials(self, pts: np.ndarray) -> np.ndarray:
+        """Every basis monomial at the (m, n) batch ``pts``: a read-only
+        (width, m) table, one row per monomial."""
+        power = pts.T[:, None, :] ** self.levels[:, None]
+        table = np.prod(power[self.index], axis=1)
+        table.setflags(write=False)
+        return table
+
+
+def _monomials_at(low: _Lowering, pts: np.ndarray) -> np.ndarray:
+    """``low.monomials(pts)``, computed once per (basis, batch) inside a
+    ``_shared_monomials`` scope and on every call outside one.  The batch is
+    matched by identity and held, so its id is not reused; it must not be
+    written while the scope is open."""
+    tables = _TABLES.get()
+    if tables is None:
+        return low.monomials(pts)
+    key = (low.key, id(pts))
+    entry = tables.get(key)
+    if entry is None:
+        entry = tables[key] = (pts, low.monomials(pts))
+    return entry[1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -671,13 +735,16 @@ class _JetPlan:
     order, which for sorted multi-indices in lexicographic order is their
     order in the stacked blocks.
 
-    ``apply`` does the per-batch work: one power table ``x_i^k`` over the
-    exponents that occur, one matmul and one row gather.  Each row is
-    contiguous over the points: the jets are views of it, stored
-    points-last.
+    ``apply`` does the per-batch work: the monomial table of the basis
+    (``_monomials_at``: plans over one basis share it inside a
+    ``_shared_monomials`` scope), one matmul and one row gather.  The
+    matmul stays per plan: BLAS may round a product differently at another
+    matrix shape, so one matmul over several plans' rows would change bits.
+    Each row is contiguous over the points: the jets are views of it,
+    stored points-last.
     """
 
-    __slots__ = ("rows", "coeffs", "levels", "index", "ranks")
+    __slots__ = ("rows", "coeffs", "lowering", "ranks")
 
     def __init__(self, n: int, comps, shape: tuple, order: int):
         count = len(comps)
@@ -687,7 +754,9 @@ class _JetPlan:
             stop = start + n**rank * count
             self.ranks.append((start, stop, (n,) * rank + shape))
             start = stop
-        low = _lowering(n, order, frozenset().union(*(expr.terms for expr in comps)))
+        low = self.lowering = _lowering(
+            n, order, frozenset().union(*(expr.terms for expr in comps))
+        )
         if not low.basis:
             self.rows = np.zeros(start, dtype=int)
             self.coeffs = None
@@ -720,9 +789,6 @@ class _JetPlan:
         rows = np.searchsorted(distinct, offsets).reshape(low.multis, count)
         self.rows = rows[low.slots].reshape(-1)
         self.coeffs = blocks.reshape(-1, width)[distinct // size, :-1]
-        # the power table holds only the exponents that occur
-        self.levels = np.unique(low.exponents)
-        self.index = (np.arange(n), np.searchsorted(self.levels, low.exponents))
 
     def apply(self, pts: np.ndarray) -> list:
         """The jets at the (m, n) batch ``pts``, one [p, ...] view per rank."""
@@ -730,9 +796,7 @@ class _JetPlan:
         if self.coeffs is None:
             vals = np.zeros((len(self.rows), m))
         else:
-            power = pts.T[:, None, :] ** self.levels[:, None]
-            mono = np.prod(power[self.index], axis=1)
-            vals = (self.coeffs @ mono)[self.rows]
+            vals = (self.coeffs @ _monomials_at(self.lowering, pts))[self.rows]
         return [
             _points_first_view(vals[start:stop].reshape(shape + (m,)))
             for start, stop, shape in self.ranks
@@ -1026,10 +1090,22 @@ class Manifold:
 
 def random_polynomial(n: int, rng, degree: int = 3, min_degree: int = 0):
     """Dense random polynomial, coefficients uniform in [-1, 1]."""
+    return _random_polynomials(n, rng, 1, degree, min_degree)[0]
+
+
+def _random_polynomials(n: int, rng, count: int, degree: int = 3, min_degree: int = 0):
+    """``count`` dense random polynomials from one ``rng.uniform`` draw.  It
+    takes the numbers ``count`` calls of ``random_polynomial`` would take,
+    in the same order, so it makes the same polynomials."""
     _check_variables(n)
     monos = _monomials(n, degree, min_degree)
-    coeffs = rng.uniform(-1.0, 1.0, size=len(monos)).tolist()
-    return _canonical(n, {e: c for e, c in zip(monos, coeffs) if c != 0.0})
+    polys = []
+    for row in rng.uniform(-1.0, 1.0, size=(count, len(monos))).tolist():
+        terms = dict(zip(monos, row))
+        if 0.0 in row:  # a zero draw is no term
+            terms = {e: c for e, c in terms.items() if c != 0.0}
+        polys.append(_canonical(n, terms))
+    return polys
 
 
 def _normalized(expr: PolynomialExpr) -> PolynomialExpr:
@@ -1132,6 +1208,7 @@ def evaluate_jets(chart: Chart, metric, bindings: dict, p, metric_order: int = 1
             )
     if getattr(metric, "n", None) != chart.n:
         raise DimensionMismatch("metric dimension does not match the chart")
-    mj = metric.jet(pts, order=metric_order)
-    jets = {name: f.jet(pts) for name, f in bindings.items()}
+    with _shared_monomials():
+        mj = metric.jet(pts, order=metric_order)
+        jets = {name: f.jet(pts) for name, f in bindings.items()}
     return PointJets(points=pts, metric=mj, fields=jets)

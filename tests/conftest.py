@@ -31,6 +31,11 @@ def central_diff(fn, pts, h=1e-6):
     return out
 
 
+def same_bits(a, b) -> bool:
+    """Equal arrays whose zeros also agree in sign."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def raw_config(manifold: dict, spec_seed: int, points: dict) -> dict:
     """A raw six-field config: the spec ``random_spec`` draws on the manifold
     at ``spec_seed``, written out term by term."""

@@ -273,9 +273,11 @@ def test_failing_verify_plans_each_field_once(tmp_path, capsys, monkeypatch):
     # A failing verify evaluates the same fields over and over (diagnose
     # reruns both curvature paths): each (field, order) is planned once, and
     # its one evaluation context applies each plan once, to its one batch.
-    planned, plans, applied, unique_calls = [], [], [], []
+    # Each monomial basis is tabled once for the batch, and plans over one
+    # basis (f1 and u here, u2 and phi) share its table.
+    planned, plans, applied, unique_calls, tables = [], [], [], [], []
     planning = [False]
-    unique = np.unique
+    unique, monomials = np.unique, fields._Lowering.monomials
 
     class RecordedPlan(fields._JetPlan):
         def __init__(self, n, comps, shape, order):
@@ -295,8 +297,14 @@ def test_failing_verify_plans_each_field_once(tmp_path, capsys, monkeypatch):
         unique_calls.append(planning[0])
         return unique(*args, **kwargs)
 
+    def recorded_monomials(low, pts):
+        tables.append((low.key, pts.tobytes()))
+        return monomials(low, pts)
+
     monkeypatch.setattr(fields, "_JetPlan", RecordedPlan)
     monkeypatch.setattr(np, "unique", recorded_unique)
+    monkeypatch.setattr(fields._Lowering, "monomials", recorded_monomials)
+    fields._lowering.cache_clear()  # so that planning builds the lowerings
     path = config_file(tmp_path, RAW_BUMPY2)
     code, _, _ = run_main(capsys, "verify", "--config", path, "--corrupt-term", "h_f1")
     assert code == 1
@@ -304,6 +312,8 @@ def test_failing_verify_plans_each_field_once(tmp_path, capsys, monkeypatch):
     assert len(keys) == len(set(keys))  # planned at most once per field and order
     assert sorted(map(id, applied)) == sorted(map(id, plans))  # each applied once
     assert unique_calls and all(unique_calls)  # np.unique only while planning
+    assert len(tables) == len(set(tables))  # one table per (basis, batch)
+    assert len(tables) < sum(plan.coeffs is not None for plan in plans)
 
 
 RAW_RUNS = (

@@ -32,7 +32,7 @@ from affconn import connection, curvature, fields, levi_civita
 from affconn.cases import RicciOperatorEndoField
 from affconn.curvature import GROUPS, _jein, eta_helpers, exterior_2du, mu_tensor, r0
 from affconn.fields import Jet, PolynomialEndoField, PolynomialExpr, random_polynomial
-from conftest import central_diff, rel_err
+from conftest import central_diff, rel_err, same_bits
 
 x1 = PolynomialExpr.coordinate(2, 0)
 x2 = PolynomialExpr.coordinate(2, 1)
@@ -237,10 +237,6 @@ def display_line_groups(frame) -> dict:
         "grad_f2": -np.einsum("pi,pjk,pl->plijk", gf2, g, big_u2)
         + np.einsum("pj,pik,pl->plijk", gf2, g, big_u2),
     }
-
-
-def same_bits(a, b) -> bool:
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @pytest.mark.parametrize("name, params", [

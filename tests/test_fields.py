@@ -26,6 +26,7 @@ from affconn import (
     SchemaError,
     Sphere2MetricField,
     UnknownPreset,
+    build_case,
     evaluate_jets,
     evaluate_spec,
     fields,
@@ -35,7 +36,7 @@ from affconn import (
     random_polynomial,
     random_spec,
 )
-from conftest import central_diff, rel_err
+from conftest import central_diff, rel_err, same_bits
 
 
 # ---------------------------------------------------------------- charts
@@ -274,6 +275,39 @@ def test_poly_from_json_still_checks_before_trusting(obj, message):
     with pytest.raises(SchemaError) as exc:
         poly_from_json(2, obj, where="u[0]")
     assert str(exc.value) == message
+
+
+def drawn_one_by_one(n, rng, degree=3, min_degree=0):
+    """``random_polynomial`` as it was when each polynomial made its own
+    ``rng.uniform`` call: the reference for the one-draw path."""
+    monos = fields._monomials(n, degree, min_degree)
+    coeffs = rng.uniform(-1.0, 1.0, size=len(monos)).tolist()
+    return fields._canonical(n, {e: c for e, c in zip(monos, coeffs) if c != 0.0})
+
+
+def terms(polys) -> list:
+    return [list(p.terms.items()) for p in polys]
+
+
+def test_one_draw_makes_the_polynomials_of_one_draw_per_polynomial():
+    # random_spec draws all its coefficients at once and random_polynomial
+    # is the one-polynomial case: each takes the numbers that one draw per
+    # polynomial took, so it makes the same terms in the same order
+    for seed in range(50):
+        for n in (1, 2, 3, 4):
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            for degree, low in ((3, 0), (3, 1), (2, 0), (4, 2)):  # (3, 1): the bumpy metric
+                assert terms([random_polynomial(n, rngs[0], degree, min_degree=low)]) == terms(
+                    [drawn_one_by_one(n, rngs[1], degree, low)])
+            if n == 1:  # a chart has two dimensions or more
+                continue
+            spec = random_spec(unit_chart(n), seed)
+            rng = np.random.default_rng(seed)
+            # f1, f2, u, u1, u2 and phi's rows, in the order they were drawn
+            old = [drawn_one_by_one(n, rng) for _ in range(2 + 3 * n + n * n)]
+            new = [spec.f1.expr, spec.f2.expr, *spec.u.comps, *spec.u1.comps, *spec.u2.comps,
+                   *itertools.chain.from_iterable(spec.phi.entries)]
+            assert terms(new) == terms(old)
 
 
 def test_random_specs_build_and_plan_without_validating_or_deriving(monkeypatch):
@@ -612,9 +646,22 @@ def test_jet_plans_match_the_derivative_chain_planner(n, order, data):
         return
     assert plan.coeffs.dtype == coeffs.dtype and plan.coeffs.flags.c_contiguous
     assert np.array_equal(plan.coeffs, coeffs)
-    assert np.array_equal(plan.levels, levels)
-    assert np.array_equal(plan.index[0], np.arange(n))
-    assert np.array_equal(plan.index[1], level)
+    assert np.array_equal(plan.lowering.levels, levels)
+    assert np.array_equal(plan.lowering.index[0], np.arange(n))
+    assert np.array_equal(plan.lowering.index[1], level)
+
+
+def test_a_shared_lowering_cannot_be_written():
+    # every plan over a support shares one lowering and every plan over its
+    # basis one monomial table, so an in-place write would corrupt them all
+    low = fields._lowering(2, 2, frozenset(monomials_up_to(2, 3)))
+    table = low.monomials(unit_chart().sample(4, 0))
+    steps = [arr for step in low.steps for arr in step[2:]]
+    arrays = [low.exponents, low.slots, low.levels, *low.index, *steps, table]
+    assert len(steps) == 6
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] += 1
 
 
 def test_oneform_component_count_is_checked():
@@ -741,29 +788,61 @@ def rebuilt(field):
     return type(field)(n, rows)
 
 
+def spec_level_inputs() -> list:
+    """(manifold, spec) pairs for the spec-level jet path: a random spec at
+    n = 2, 3 and 4 on a bumpy metric, each also with three bindings zeroed
+    (the one zero field of each kind), and case 17, whose u1 and u2 are one
+    field."""
+    inputs = []
+    for n in (2, 3, 4):
+        man = preset_manifold("bumpy", {"n": n, "eps": 0.05, "seed": 30 + n})
+        spec = random_spec(man.chart, 30 + n)
+        inputs += [(man, spec), (man, spec.with_zeroed("f2").with_zeroed("u1").with_zeroed("phi"))]
+    man = inputs[2][0]  # bumpy n = 3
+    rng = np.random.default_rng(37)
+    omega = PolynomialOneFormField(3, [random_polynomial(3, rng) for _ in range(3)])
+    inputs.append((man, build_case("17", {"omega": omega}, man)))
+    return inputs
+
+
+KIND_BINDINGS = {"scalar": ("f1", "f2"), "oneform": ("u", "u1", "u2"), "endo": ("phi",)}
+
+
 @pytest.mark.parametrize(
     "kind, order",
     [("scalar", 1), ("oneform", 1), ("endo", 1), ("metric", 1), ("metric", 2), ("metric", 3)],
 )
-def test_warm_jet_plans_match_freshly_built_fields(bumpy3, kind, order):
-    spec = random_spec(bumpy3.chart, 30)
-    field = {"scalar": spec.f1, "oneform": spec.u, "endo": spec.phi,
-             "metric": bumpy3.metric}[kind]
+def test_warm_jet_plans_match_freshly_built_fields(kind, order):
+    # A plan is batch-free, and a field's jet is the same alone and in its
+    # spec's call, where the metric and the bindings share one monomial
+    # table per basis: every level has the bits of a freshly built field
+    # evaluated alone, signs of zeros included.  One matmul over several
+    # fields' rows fails this, since BLAS rounds by matrix shape.
+    def levels(jet):
+        return (jet.value, jet.grad) if kind == "scalar" else jet.levels
 
-    def levels(f, pts):
-        if kind == "scalar":
-            jet = f.jet(pts)
-            return jet.value, jet.grad
-        return (f.jet(pts, order) if kind == "metric" else f.jet(pts)).levels
+    def alone(f, pts):
+        return f.jet(pts, order) if kind == "metric" else f.jet(pts)
 
-    wide = bumpy3.chart.sample(256, 31)
-    levels(field, wide)  # plans the field at this order
-    # the same batch again, then other batch sizes: a plan is batch-free
-    for pts in (wide, bumpy3.chart.sample(1, 32), bumpy3.chart.sample(5, 33), wide[::-1]):
-        warm, cold = levels(field, pts), levels(rebuilt(field), pts)
-        assert len(warm) == len(cold) == (order + 1 if kind == "metric" else 2)
-        for got, want in zip(warm, cold):
-            assert np.array_equal(got, want)
+    for man, spec in spec_level_inputs():
+        if kind == "metric":
+            chosen = [man.metric]
+        else:
+            chosen = [getattr(spec, name) for name in KIND_BINDINGS[kind]]
+        wide = man.chart.sample(333, 31)
+        # the wide batch plans every field; then other batch sizes
+        for m, pts in ((333, wide), (1, man.chart.sample(1, 32)), (10, man.chart.sample(10, 33)),
+                       (20, man.chart.sample(20, 34)), (333, wide[::-1])):
+            with fields._shared_monomials():
+                metric = man.metric.jet(pts, order)
+                jets = spec.jets(pts)
+            for field in chosen:
+                cold = levels(alone(rebuilt(field), pts))
+                assert len(cold) == (order + 1 if kind == "metric" else 2)
+                assert cold[0].shape[0] == m
+                for got in (metric if kind == "metric" else jets[field], alone(field, pts)):
+                    assert len(levels(got)) == len(cold)
+                    assert all(map(same_bits, levels(got), cold))
 
 
 # ---------------------------------------------------------------- presets
