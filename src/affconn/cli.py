@@ -474,7 +474,7 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
     # One context for the whole command: diagnose reuses its first evaluation.
     with _evaluation_context():
         chart, metric = config.manifold.chart, config.manifold.metric
-        spec, pts = config.spec, config.points
+        spec, pts, tols = config.spec, config.points, config.tolerances
         # A numeric blow-up fails its checks by name below, not through warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             # Each consumer applies the corruption only if it owns the named term.
@@ -497,15 +497,16 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
             # np.max, unlike max(), keeps a NaN residual
             antisym = float(np.max([norm_residual(r_formula, -r_formula.swapaxes(2, 3)),
                                     norm_residual(r_direct, -r_direct.swapaxes(2, 3))]))
+            rows = [
+                ("torsion_law", norm_residual(t_direct, t_law), tols["torsion"]),
+                ("metricity_law", norm_residual(q_direct, q_law), tols["metricity"]),
+                ("transpose_torsion_law", norm_residual(tp_metric, tp_closed),
+                 tols["transpose"]),
+                ("curvature_antisymmetry", antisym, tols["antisymmetry"]),
+                ("curvature_formula_vs_direct", norm_residual(r_formula, r_direct),
+                 tols["curvature"]),
+            ]
 
-        tols = config.tolerances
-        rows = [
-            ("torsion_law", norm_residual(t_direct, t_law), tols["torsion"]),
-            ("metricity_law", norm_residual(q_direct, q_law), tols["metricity"]),
-            ("transpose_torsion_law", norm_residual(tp_metric, tp_closed), tols["transpose"]),
-            ("curvature_antisymmetry", antisym, tols["antisymmetry"]),
-            ("curvature_formula_vs_direct", norm_residual(r_formula, r_direct), tols["curvature"]),
-        ]
         # a non-finite residual has no number to report: it fails and is named
         non_finite = [name for name, res, _ in rows if not math.isfinite(res)]
         checks = [

@@ -32,9 +32,9 @@ from .fields import (
     PolynomialEndoField,
     PolynomialOneFormField,
     PolynomialScalarField,
+    _evaluation_context,
     _memo,
     _random_polynomials,
-    _shared_monomials,
     as_points,
 )
 from .levi_civita import PointGeometry
@@ -137,12 +137,14 @@ class ConnectionSpec:
         at points, keyed by field: aliased bindings get one jet, and a
         geometry-derived phi (see ``resolve_endo_jet``) is left out.
 
-        The polynomial bindings share one monomial table per basis
-        (``fields._shared_monomials``); each keeps its own matmul.  A field's
+        The bindings are evaluated in one evaluation context (the caller's,
+        if one is open), so the polynomial ones share one monomial table per
+        basis (``fields._memo``); each keeps its own matmul.  A field's
         ``jet`` alone is the one-field case: the same plan, table and matmul.
+        The jets are read-only, in a caller's context or not.
         """
         fields = dict.fromkeys(getattr(self, name) for name in _BINDING_KINDS)
-        with _shared_monomials():
+        with _evaluation_context():
             return {f: f.jet(pts) for f in fields if not hasattr(f, "jet_geo")}
 
 
@@ -398,7 +400,7 @@ def evaluate_spec(
     # asked for (the Ricci operator's 1-jet takes metric order 3).
     order = max(order, getattr(spec.phi, "min_metric_order", 1))
     pts = as_points(pts, chart.n)  # PointGeometry checks it is inside the chart
-    with _shared_monomials():  # the metric shares the bindings' tables
+    with _evaluation_context():  # the metric shares the bindings' tables
         geo = _memo("geometry", (chart, metric_field), pts, order,
                     lambda: PointGeometry(chart, metric_field, pts, order=order))
         jets = spec.jets(pts)

@@ -33,7 +33,7 @@ from .connection import (
 )
 from .errors import BadParams
 from .fields import (
-    Chart, Jet, _evaluation_context, _memo, _shared_monomials, batch_zeros, points_last,
+    Chart, Jet, _evaluation_context, _memo, batch_zeros, points_last,
 )
 from .levi_civita import (
     PointGeometry,
@@ -204,7 +204,10 @@ def curvature_formula(
     bindings they read (``GROUP_READS``) and its geometry, so inside an
     evaluation context a spec with one binding zeroed recomputes only the
     groups that read it.  Values are computed when a missing group needs
-    them; ``total`` is summed in ``GROUPS`` order into a fresh buffer.
+    them.  The groups are built in an evaluation context (the caller's, if
+    one is open), so each helper is computed once for every group that
+    reads it; a memoised group is read-only.  ``total`` is summed in
+    ``GROUPS`` order into a fresh buffer.
 
     Most display lines are a term minus the same term with X and Y swapped.
     Such a pair is one einsum and its ``swapaxes(2, 3)`` view, in the place
@@ -232,15 +235,11 @@ def curvature_formula(
         owners = (*(getattr(frame, name) for name in reads), geo)
         return _memo(kind, owners, geo.pts, geo.order, compute)
 
-    # Cached per call too, so that outside an evaluation context each helper
-    # is still computed once for every group that needs it.
-    @functools.cache
     def helpers(name):
         # beta/alpha of eta also read u, its sharp, and the Phi split
         eta = getattr(frame, name)
         return memo("eta_helpers", (name, "u", "phi"), lambda: eta_helpers(eta, frame))
 
-    @functools.cache
     def rec():
         return memo("rec", ("u1",), lambda: (
             np.einsum("pj,lk->pljk", u1, eye, order="F")
@@ -351,7 +350,8 @@ def curvature_formula(
         "yf1_block": lambda: np.einsum("pj,plik->plijk", gf1, rec()),
         "grad_f2": grad_f2,
     }
-    groups = {name: memo(name, GROUP_READS[name], formulas[name]) for name in GROUPS}
+    with _evaluation_context():  # each helper once, for every group that reads it
+        groups = {name: memo(name, GROUP_READS[name], formulas[name]) for name in GROUPS}
     if corrupt is not None and corrupt.name in groups:
         groups[corrupt.name] = corrupt.factor * groups[corrupt.name]
     total = np.zeros_like(groups["riemann"])  # sum()'s order and bits, one buffer
@@ -420,21 +420,26 @@ def curvature_direct(
     Nothing is shared with curvature_formula's helper-tensor path: in an
     evaluation context the intermediates and the five clean H addends are
     memoised under the oracle's own keys (each addend by the bindings it
-    reads), and only the raw field jets are common to both paths.
+    reads), and only the raw field jets, with the monomial tables they
+    are computed from, are common to both paths.
     ``corrupt`` scales a copy of one addend; Gamma~ is summed in a fixed
     order into fresh buffers, so no memoised value is written.
 
-    The raw jets are evaluated once, on the whole batch: the jet evaluator's
-    matmul may round differently at another batch size.  Everything after
-    them runs block by block, ``_ORACLE_BLOCK_BYTES`` of curvature at a
-    time, so its temporaries stay cache-sized (README, "Memory layout"),
-    and is memoised per block, keyed by the block's points.  A point's
-    arithmetic does not depend on its block, so every block size gives the
-    same bits; a batch that fits in one block goes through as it is.
+    The raw jets are evaluated once, on the whole batch, since the jet
+    evaluator's matmul may round differently at another batch size, and in
+    one evaluation context (the caller's, if one is open), so they share
+    monomial tables.  Everything after them runs block by block,
+    ``_ORACLE_BLOCK_BYTES`` of curvature at a time, so its temporaries stay
+    cache-sized (README, "Memory layout"), and is memoised per block, keyed
+    by the block's points, in the caller's context only: a context opened
+    around the block loop would hold every block's intermediates until the
+    call returned.  A point's arithmetic does not depend on its block, so
+    every block size gives the same bits; a batch that fits in one block
+    goes through as it is.
     """
     pts = chart.require_inside(pts)
     order = needed_order(spec)
-    with _shared_monomials():  # the metric shares the bindings' tables
+    with _evaluation_context():  # the metric shares the bindings' tables
         g = metric_field.jet(pts, order=order)
         jets = spec.jets(pts)
         phi = jets.get(spec.phi)

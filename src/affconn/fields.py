@@ -11,16 +11,21 @@ on the first jet call; every call after that only applies the plan to its
 batch of points (see ``_JetPlan``).  Planning lowers columns of one dense
 coefficient block and builds no derivative polynomial.  Fields evaluated
 together at one batch (a spec's bindings and its metric) share one table of
-monomial values per basis (``_shared_monomials``); each keeps its own
+monomial values per basis, an evaluation-context entry; each keeps its own
 matmul.
 
 Polynomial terms are checked once, where they enter: the public
 ``PolynomialExpr`` constructor and ``poly_from_json``.  The package's own
 algebra keeps terms canonical and builds through ``_canonical`` unchecked.
 
-Jet values are computed once per run: inside an ``_evaluation_context``,
-``_memo`` keeps each field's jet, and the derived data callers key through
-it, per (owners, point batch, order) until the outermost context exits.
+``_memo`` is the one per-batch cache: inside an ``_evaluation_context``
+it keeps each monomial table, each field's jet and the derived data callers
+key through it, per (owners, point batch, order), until the outermost
+context exits.  A command opens one context for its whole run.  Outside
+one, ``ConnectionSpec.jets``, ``evaluate_jets``, ``evaluate_spec`` and the
+oracle's jet step each open one over their jets, so those share monomial
+tables, and ``curvature_formula`` one over its groups, so those share
+helpers; all of it is dropped when the call returns.
 
 Array layout conventions (shared by the whole package):
 
@@ -444,6 +449,19 @@ class _Memo(dict):
         self.by_id: dict[int, tuple[np.ndarray, int]] = {}
         self.by_value: dict[tuple, int] = {}
 
+    def token(self, pts: np.ndarray) -> int:
+        """The token of ``pts``, an array not in ``by_id``.  The first
+        array a memo sees gets token 0 unread; its values are read, with
+        the next array's, when a second array comes.  Most contexts see
+        one array, and reading copies it: a large batch's copy would add
+        to the peak memory of the call."""
+        if not self.by_id:
+            return 0
+        if not self.by_value:
+            ((first, _),) = self.by_id.values()
+            self.by_value[first.shape, first.tobytes()] = 0
+        return self.by_value.setdefault((pts.shape, pts.tobytes()), len(self.by_value))
+
 
 # The open memo: None outside every ``_evaluation_context``.
 _MEMO: contextvars.ContextVar[_Memo | None] = contextvars.ContextVar(
@@ -451,45 +469,19 @@ _MEMO: contextvars.ContextVar[_Memo | None] = contextvars.ContextVar(
 )
 
 
-# The monomial tables of the open ``_shared_monomials`` scope: None outside
-# every scope.
-_TABLES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "affconn_tables", default=None
-)
-
-
-class _Scope:
-    """A ``with`` block that sets ``var`` to ``fresh()``; inside a scope of
-    ``var`` that is already open, it joins that one instead.  The value is
-    dropped when the outermost scope exits."""
-
-    __slots__ = ("var", "fresh", "token")
-
-    def __init__(self, var: contextvars.ContextVar, fresh):
-        self.var, self.fresh, self.token = var, fresh, None
-
-    def __enter__(self):
-        if self.var.get() is None:
-            self.token = self.var.set(self.fresh())
-
-    def __exit__(self, *exc):
-        if self.token is not None:
-            self.var.reset(self.token)
-
-
-def _evaluation_context():
+class _evaluation_context:
     """Scope inside which ``_memo`` computes each value once.  A context
     opened inside another joins it; the memo and every value in it are
     dropped when the outermost one exits."""
-    return _Scope(_MEMO, _Memo)
 
+    __slots__ = ("token",)
 
-def _shared_monomials():
-    """Scope inside which polynomial jets at one point batch share their
-    monomial tables: each (basis, batch) is tabled once, by the first plan
-    that needs it (``_monomials_at``).  A scope opened inside another joins
-    it; the tables are dropped when the outermost one exits."""
-    return _Scope(_TABLES, dict)
+    def __enter__(self):
+        self.token = _MEMO.set(_Memo()) if _MEMO.get() is None else None
+
+    def __exit__(self, *exc):
+        if self.token is not None:
+            _MEMO.reset(self.token)
 
 
 def _read_only(value):
@@ -514,18 +506,20 @@ def _memo(kind: str, owners: tuple, pts: np.ndarray, order, compute):
 
     ``owners`` are the objects the value is computed from (fields, the
     metric), matched by identity; ``pts`` is the validated (m, n) batch,
-    matched by its values.  A batch's values are read once per context,
-    the first time its array is seen, so an array must not be written while
-    a context that has seen it is open.  An entry holds its owners, so no
-    owner's id is reused while the memo lives.  Stored arrays are read-only.
+    matched by its values; ``order`` is any hashable that tells values of
+    one kind apart besides those (a monomial table passes its basis key).
+    A batch's values are read at most once per context, when its array or
+    the next one is first seen, so an array must not be written while a
+    context that has seen it is open.  An entry holds its owners, so no
+    owner's id is reused while the memo lives.  Stored arrays are
+    read-only.
     """
     memo = _MEMO.get()
     if memo is None:
         return compute()
     seen = memo.by_id.get(id(pts))
     if seen is None:
-        token = memo.by_value.setdefault((pts.shape, pts.tobytes()), len(memo.by_value))
-        seen = memo.by_id[id(pts)] = (pts, token)
+        seen = memo.by_id[id(pts)] = (pts, memo.token(pts))
     key = (kind, *map(id, owners), seen[1], order)
     entry = memo.get(key)
     if entry is None:
@@ -694,21 +688,6 @@ class _Lowering:
         return table
 
 
-def _monomials_at(low: _Lowering, pts: np.ndarray) -> np.ndarray:
-    """``low.monomials(pts)``, computed once per (basis, batch) inside a
-    ``_shared_monomials`` scope and on every call outside one.  The batch is
-    matched by identity and held, so its id is not reused; it must not be
-    written while the scope is open."""
-    tables = _TABLES.get()
-    if tables is None:
-        return low.monomials(pts)
-    key = (low.key, id(pts))
-    entry = tables.get(key)
-    if entry is None:
-        entry = tables[key] = (pts, low.monomials(pts))
-    return entry[1]
-
-
 @functools.lru_cache(maxsize=64)
 def _lowering(n: int, order: int, support: frozenset) -> _Lowering:
     """The ``_Lowering`` of a support, built once per (n, order, support)."""
@@ -735,13 +714,13 @@ class _JetPlan:
     order, which for sorted multi-indices in lexicographic order is their
     order in the stacked blocks.
 
-    ``apply`` does the per-batch work: the monomial table of the basis
-    (``_monomials_at``: plans over one basis share it inside a
-    ``_shared_monomials`` scope), one matmul and one row gather.  The
-    matmul stays per plan: BLAS may round a product differently at another
-    matrix shape, so one matmul over several plans' rows would change bits.
-    Each row is contiguous over the points: the jets are views of it,
-    stored points-last.
+    ``apply`` does the per-batch work: the monomial table of the basis (a
+    ``_memo`` entry keyed by ``_Lowering.key``, so inside an evaluation
+    context plans over one basis, at any order, share it), one matmul and
+    one row gather.  The matmul stays per plan: BLAS may round a product
+    differently at another matrix shape, so one matmul over several plans'
+    rows would change bits.  Each row is contiguous over the points: the
+    jets are views of it, stored points-last.
     """
 
     __slots__ = ("rows", "coeffs", "lowering", "ranks")
@@ -796,7 +775,9 @@ class _JetPlan:
         if self.coeffs is None:
             vals = np.zeros((len(self.rows), m))
         else:
-            vals = (self.coeffs @ _monomials_at(self.lowering, pts))[self.rows]
+            low = self.lowering
+            table = _memo("monomials", (), pts, low.key, lambda: low.monomials(pts))
+            vals = (self.coeffs @ table)[self.rows]
         return [
             _points_first_view(vals[start:stop].reshape(shape + (m,)))
             for start, stop, shape in self.ranks
@@ -1208,7 +1189,7 @@ def evaluate_jets(chart: Chart, metric, bindings: dict, p, metric_order: int = 1
             )
     if getattr(metric, "n", None) != chart.n:
         raise DimensionMismatch("metric dimension does not match the chart")
-    with _shared_monomials():
+    with _evaluation_context():
         mj = metric.jet(pts, order=metric_order)
         jets = {name: f.jet(pts) for name, f in bindings.items()}
     return PointJets(points=pts, metric=mj, fields=jets)

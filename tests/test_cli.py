@@ -582,12 +582,25 @@ def test_overflowing_polynomials_never_pass(tmp_path, capsys):
     assert code != 0
 
 
-# what each command names as non-finite on the overflowing config below
+HUGE = {"terms": [{"c": 1e300, "e": [3, 0]}]}
+OVERFLOWING = dict(MINIMAL, connection={"raw": {"f1": HUGE, "u": [HUGE, 0]}},
+                   points={"count": 5, "seed": 1})
+# every law's residual, not only the curvature's, is non-finite here
+OVERFLOWING_U1 = {
+    "manifold": {"preset": "bumpy", "n": 2, "eps": 0.05, "seed": 4},
+    "connection": {"raw": {"f1": HUGE, "u1": [1e300, 1]}},
+    "points": {"count": 5, "seed": 1},
+}
+# what each command names as non-finite on OVERFLOWING
 NON_FINITE_NAMES = {
     "verify": ("non_finite_checks", ["curvature_antisymmetry", "curvature_formula_vs_direct"]),
     "tensors": ("non_finite_tensors", ["r_formula"]),
     "ablate": ("non_finite_checks", ["curvature_formula_vs_direct"]),
 }
+ALL_CHECKS = [
+    "torsion_law", "metricity_law", "transpose_torsion_law",
+    "curvature_antisymmetry", "curvature_formula_vs_direct",
+]
 
 
 def has_null(nested) -> bool:
@@ -597,23 +610,27 @@ def has_null(nested) -> bool:
 
 
 @pytest.mark.parametrize(
-    "command, output",
+    "payload, argv, output, key, names",
     [
-        pytest.param(command, output, id=output if command == "verify" else f"{command}-{output}")
+        pytest.param(OVERFLOWING, (command,), output, *NON_FINITE_NAMES[command],
+                     id=output if command == "verify" else f"{command}-{output}")
         for command in NON_FINITE_NAMES
+        for output in ("json", "pretty")
+    ] + [
+        pytest.param(OVERFLOWING_U1, argv, output, "non_finite_checks", ALL_CHECKS,
+                     id="-".join(("u1", *argv[2:], output)))
+        for argv in (("verify",), ("verify", "--corrupt-term", "h_f1"))
         for output in ("json", "pretty")
     ],
 )
-def test_non_finite_residuals_fail_by_name(tmp_path, capsys, command, output):
-    huge = {"terms": [{"c": 1e300, "e": [3, 0]}]}
-    payload = dict(MINIMAL, connection={"raw": {"f1": huge, "u": [huge, 0]}},
-                   points={"count": 5, "seed": 1})
+def test_non_finite_residuals_fail_by_name(tmp_path, capsys, payload, argv, output, key, names):
+    command = argv[0]
     path = config_file(tmp_path, payload)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
-        code, out, err = run_main(capsys, command, "--config", path, "--output", output)
+        code, out, err = run_main(capsys, command, "--config", path, *argv[1:],
+                                  "--output", output)
     assert code == 1 and err == ""
-    key, names = NON_FINITE_NAMES[command]
     if output == "pretty":
         assert f"{key}:" in out
         return

@@ -833,7 +833,7 @@ def test_warm_jet_plans_match_freshly_built_fields(kind, order):
         # the wide batch plans every field; then other batch sizes
         for m, pts in ((333, wide), (1, man.chart.sample(1, 32)), (10, man.chart.sample(10, 33)),
                        (20, man.chart.sample(20, 34)), (333, wide[::-1])):
-            with fields._shared_monomials():
+            with fields._evaluation_context():
                 metric = man.metric.jet(pts, order)
                 jets = spec.jets(pts)
             for field in chosen:

@@ -26,6 +26,7 @@ from affconn import (
     curvature,
     curvature_direct,
     curvature_formula,
+    evaluate_jets,
     evaluate_spec,
     fields,
     needed_order,
@@ -36,6 +37,8 @@ from affconn.curvature import BINDING_NAMES, GROUP_READS, GROUPS
 from affconn.fields import _evaluation_context
 from conftest import RAW_BUMPY3
 
+# raw evaluation: field jets and the monomial tables they are computed from
+RAW_KINDS = {"jet", "monomials"}
 FORMULA_KINDS = {"geometry", "split_phi", "sharp", "eta_helpers", "rec", *GROUPS}
 ORACLE_KINDS = {
     "oracle_inverse", "oracle_gamma", "oracle_phi_split", "oracle_sharp", "oracle_rec",
@@ -70,6 +73,86 @@ def test_inside_a_context_a_jet_is_computed_once(bumpy2):
         assert bumpy2.metric.jet(pts, order=2) is bumpy2.metric.jet(pts, order=2)
         assert bumpy2.metric.jet(pts, order=2) is not bumpy2.metric.jet(pts, order=1)
     assert u.jet(pts) is not jet
+
+
+def test_inside_a_context_a_copy_of_the_batch_reuses_the_monomial_table(monkeypatch, bumpy2):
+    # two fields over one basis: the second jet is a miss, its table a hit
+    tables, monomials = [], fields._Lowering.monomials
+
+    def counted(low, pts):
+        tables.append(low.key)
+        return monomials(low, pts)
+
+    monkeypatch.setattr(fields._Lowering, "monomials", counted)
+    pts = bumpy2.chart.sample(4, 1)
+    x, y = (PolynomialExpr.coordinate(2, i) for i in range(2))
+    u = PolynomialOneFormField(2, [x * y, x + y])
+    f = fields.PolynomialScalarField(2, y * x - 3.0 * y + x)
+    with _evaluation_context():
+        u.jet(pts)
+        f.jet(pts.copy())
+        assert len(tables) == 1
+        assert [key[0] for key in memo_keys()].count("monomials") == 1
+    f.jet(pts)  # outside a context every jet tables afresh
+    assert len(tables) == 2 and tables[0] == tables[1]
+
+
+def test_outside_a_context_the_oracle_runs_its_blocks_with_no_memo(monkeypatch, bumpy3):
+    # Only the oracle's jet step opens a context.  One around its block loop
+    # would hold every block's intermediates until the call returned.
+    monkeypatch.setattr(curvature, "_ORACLE_BLOCK_BYTES", 4 * 8 * 3**4)  # 3 blocks
+    memos, memo = [], fields._memo
+
+    def recording(*args):
+        memos.append(fields._MEMO.get())
+        return memo(*args)
+
+    monkeypatch.setattr(curvature, "_memo", recording)
+    spec = random_spec(bumpy3.chart, 35)
+    curvature_direct(bumpy3.chart, bumpy3.metric, spec, bumpy3.chart.sample(10, 36))
+    # per block: inverse, Christoffel, Phi split, 3 sharps, rec, 5 H addends
+    assert len(memos) == 3 * 12 and all(opened is None for opened in memos)
+
+
+@pytest.mark.parametrize("entry", [
+    "evaluate_spec", "curvature_formula", "curvature_direct", "jets", "evaluate_jets",
+])
+def test_no_memo_is_left_open_when_an_entry_point_returns(bumpy2, entry):
+    spec = random_spec(bumpy2.chart, 37)
+    pts = bumpy2.chart.sample(5, 38)
+    frame = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts, order=2)
+    calls = {
+        "evaluate_spec": lambda: evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts),
+        "curvature_formula": lambda: curvature_formula(frame),
+        "curvature_direct": lambda: curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts),
+        "jets": lambda: spec.jets(pts),
+        "evaluate_jets": lambda: evaluate_jets(
+            bumpy2.chart, bumpy2.metric, {"u": spec.u}, pts, metric_order=2
+        ),
+    }
+    assert fields._MEMO.get() is None
+    calls[entry]()
+    assert fields._MEMO.get() is None
+    with _evaluation_context():
+        opened = fields._MEMO.get()
+        calls[entry]()
+        assert fields._MEMO.get() is opened  # joined, not replaced
+    assert fields._MEMO.get() is None
+
+
+def test_a_context_that_sees_one_array_copies_no_batch(bumpy2):
+    # Reading a batch's values copies it; with one array there is nothing
+    # to match, so the copy would only add to the call's peak memory.
+    spec = random_spec(bumpy2.chart, 39)
+    pts = bumpy2.chart.sample(5, 40)
+    with _evaluation_context():
+        frame = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts, order=2)
+        curvature_formula(frame)
+        curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts)
+        memo = fields._MEMO.get()
+        assert len(memo.by_id) == 1 and not memo.by_value
+        assert spec.u.jet(pts.copy()) is frame.u  # a second array: both are read
+        assert len(memo.by_id) == 2 and len(memo.by_value) == 1
 
 
 def test_a_nested_context_joins_the_enclosing_one(bumpy2):
@@ -165,7 +248,7 @@ def test_the_formula_and_the_oracle_share_only_raw_jets(bumpy2, case):
     formula = path_keys(bumpy2.chart, bumpy2.metric, spec, pts, "formula")
     oracle = path_keys(bumpy2.chart, bumpy2.metric, spec, pts, "oracle")
     shared = formula & oracle
-    assert shared and {key[0] for key in shared} == {"jet"}
+    assert shared and {key[0] for key in shared} == RAW_KINDS
     assert {key[0] for key in formula - shared} == FORMULA_KINDS
     assert {key[0] for key in oracle - shared} == ORACLE_KINDS
 
@@ -186,18 +269,23 @@ def test_one_context_gives_the_oracle_nothing_but_raw_jets_from_the_formula(bump
 
 def keyed_values(monkeypatch, manifold, spec, pts) -> dict:
     """Every value one formula run and one oracle run key through the memo,
-    outside any context, by (kind, the bindings named among its owners)."""
+    outside any context, by (kind, the bindings named among its owners).
+    Calls go on to ``fields._memo``: the formula's groups share the helpers
+    in a context of its own, so each value is computed, and recorded, once."""
     frame = evaluate_spec(manifold.chart, manifold.metric, spec, pts, order=needed_order(spec))
-    values = {}
+    values, memo = {}, fields._memo
 
     def recording(kind, owners, pts, order, compute):
-        value = compute()
         # the formula keys on the frame's jets, the oracle on the spec's fields
         reads = tuple(name for owner in owners for name in BINDING_NAMES
                       if owner is getattr(frame, name) or owner is getattr(spec, name))
-        assert (kind, reads) not in values
-        values[kind, reads] = value
-        return value
+
+        def record():
+            assert (kind, reads) not in values
+            value = values[kind, reads] = compute()
+            return value
+
+        return memo(kind, owners, pts, order, record)
 
     with monkeypatch.context() as patch:
         patch.setattr(curvature, "_memo", recording)

@@ -1,0 +1,57 @@
+"""Smoke test of ``tools/report_digest.py``, the bit-identity check between
+two trees: its output format, and that its digest is stable and sees the
+batch size."""
+
+import importlib.util
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+DIGEST_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
+
+X1 = {"terms": [{"c": 1.0, "e": [1, 0]}]}
+X2 = {"terms": [{"c": 1.0, "e": [0, 1]}]}
+
+
+def raw_bumpy2(points_seed: int) -> dict:
+    return {
+        "manifold": {"preset": "bumpy", "n": 2, "eps": 0.05, "seed": 4},
+        "connection": {
+            "raw": {
+                "f1": X1, "f2": 0.25, "u": [0, X1], "u1": [X2, 0],
+                "u2": [X1, X2], "phi": [[X1, 1.0], [0, X2]],
+            }
+        },
+        "points": {"count": 3, "seed": points_seed},
+    }
+
+
+@pytest.fixture(scope="module")
+def report_digest():
+    spec = importlib.util.spec_from_file_location("report_digest", DIGEST_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_digest_prints_a_stable_digest_per_config(tmp_path, capsys, report_digest):
+    paths = []
+    for seed in (9, 10):
+        path = tmp_path / f"bumpy2-{seed}.json"
+        path.write_text(json.dumps(raw_bumpy2(seed)), encoding="utf-8")
+        paths.append(str(path))
+
+    def digests(*options) -> list:
+        assert report_digest.main([*options, *paths]) == 0
+        return [line.split("  ") for line in capsys.readouterr().out.splitlines()]
+
+    first = digests()
+    assert [name for _, name in first] == [*paths, "overall"]
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest, _ in first)
+    assert len({digest for digest, _ in first}) == 3
+    assert digests() == first
+    wider = digests("--points", "4")
+    assert [name for _, name in wider] == [*paths, "overall"]
+    assert all(a != b for (a, _), (b, _) in zip(wider, first))
