@@ -7,6 +7,14 @@ metricity law as independently coded right-hand sides.  ``verify_case``
 evaluates both the general machinery and the reduced laws on a point batch
 and reports residuals.
 
+A preset states only its choices: id, name, f1, f2, phi mode, the sources
+of u1 and u2, a prose deviation and a parent.  What they imply is derived:
+the bindings it requires, whether it uses u, whether it is torsion-free,
+whether it needs a curved metric, and the checks it runs.  The reduced laws
+(``_reduced_gamma``, ``_stated_metricity`` and case 17's curvature law) are
+not derived: they are the independent side of each check, so building them
+from the general construction would check that construction against itself.
+
 Cases stated with a free nonzero coefficient are pinned to a representative
 value so every preset is fully executable; the value is part of the preset.
 Two presets carry a ``prose_deviation``: their traditional recurrence
@@ -20,6 +28,7 @@ all slots, so the aliased jets are bit-identical by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,45 +89,42 @@ def _geo_jet(field, geo, part) -> Jet:
     return _memo("jet", (field, geo.metric_field), geo.pts, geo.order, compute)
 
 
-class SymmetricPartEndoField:
-    """g-self-adjoint part of a base endomorphism field.
+class _AdjointPartEndoField:
+    """A g-adjoint part of a base endomorphism field.
 
     Evaluates through the geometry bundle because the split needs metric
-    jets; the base field supplies the raw endomorphism jets.
+    jets; the base field supplies the raw endomorphism jets.  Each subclass
+    defines its own ``jet_geo``, so each part is its own method object.
     """
 
     kind = "endo"
     min_metric_order = 1
+    _part = ""  # names the part in the constructor's error
 
     def __init__(self, base):
         if getattr(base, "kind", None) != "endo":
-            raise BadParams("symmetric part needs an endomorphism base field")
+            raise BadParams(f"{self._part} part needs an endomorphism base field")
         self.n = base.n
         self.base = base
 
     @property
     def is_zero(self) -> bool:
         return self.base.is_zero
+
+
+class SymmetricPartEndoField(_AdjointPartEndoField):
+    """g-self-adjoint part of a base endomorphism field."""
+
+    _part = "symmetric"
 
     def jet_geo(self, geo) -> Jet:
         return _geo_jet(self, geo, lambda split: Jet(comp=split.phi1, d1=split.phi1_d1))
 
 
-class SkewPartEndoField:
+class SkewPartEndoField(_AdjointPartEndoField):
     """g-skew part of a base endomorphism field."""
 
-    kind = "endo"
-    min_metric_order = 1
-
-    def __init__(self, base):
-        if getattr(base, "kind", None) != "endo":
-            raise BadParams("skew part needs an endomorphism base field")
-        self.n = base.n
-        self.base = base
-
-    @property
-    def is_zero(self) -> bool:
-        return self.base.is_zero
+    _part = "skew"
 
     def jet_geo(self, geo) -> Jet:
         return _geo_jet(self, geo, lambda split: Jet(comp=split.phi2, d1=split.phi2_d1))
@@ -150,23 +156,73 @@ class RicciOperatorEndoField:
         return _memo("jet", (self, geo.metric_field), geo.pts, geo.order, compute)
 
 
+class _PhiMode(NamedTuple):
+    description: str  # as ``affconn cases`` lists it
+    binds_phi: bool  # built from the caller's ``phi`` binding
+    build: Callable  # (bindings, n) -> the spec's phi field
+
+
+_PHI_MODES = {
+    "full": _PhiMode("bound endomorphism", True, lambda b, n: b["phi"]),
+    "sym": _PhiMode(
+        "self-adjoint part of the bound endomorphism",
+        True,
+        lambda b, n: SymmetricPartEndoField(b["phi"]),
+    ),
+    "skew": _PhiMode(
+        "skew-adjoint part of the bound endomorphism",
+        True,
+        lambda b, n: SkewPartEndoField(b["phi"]),
+    ),
+    "identity": _PhiMode("identity", False, lambda b, n: IdentityEndoField(n)),
+    "ricci": _PhiMode("Ricci operator", False, lambda b, n: RicciOperatorEndoField(n)),
+    "none": _PhiMode("absent", False, lambda b, n: PolynomialEndoField.zero(n)),
+}
+
+
 @dataclass(frozen=True)
 class CasePreset:
-    """One named reduction: fixed coefficients, binding slots, and laws."""
+    """One named reduction: fixed coefficients, binding slots, and laws.
+
+    Only the preset's choices are stored; its bindings, symmetry and the
+    checks it runs are derived from them.
+    """
 
     id: str
     name: str
     f1: float
     f2: float
-    required: tuple[str, ...]  # binding names the caller must supply
-    phi_mode: str  # full | sym | skew | identity | ricci | none
-    uses_u: bool
-    u1_src: str | None  # None | "u1" | "u" | "omega"
-    u2_src: str | None  # None | "u2" | "u" | "omega"
-    symmetric: bool = False  # torsion vanishes identically
-    requires_curved: bool = False
+    phi_mode: str  # a key of _PHI_MODES
+    u1_src: str | None = None  # None (unbound) | "u1" | "u" | "omega"
+    u2_src: str | None = None  # None (unbound) | "u2" | "u" | "omega"
     prose_deviation: str | None = None
     parent: str | None = None
+
+    @property
+    def uses_u(self) -> bool:
+        return self.phi_mode != "none"
+
+    @property
+    def symmetric(self) -> bool:
+        """Torsion vanishes identically: no u, hence no u (x) phi term."""
+        return not self.uses_u
+
+    @property
+    def requires_curved(self) -> bool:
+        return self.phi_mode == "ricci"
+
+    @property
+    def required(self) -> tuple[str, ...]:
+        """Binding names the caller must supply, in the order u, phi, u1, u2,
+        omega."""
+        wanted = {
+            "u": self.uses_u,
+            "phi": _PHI_MODES[self.phi_mode].binds_phi,
+            "u1": self.u1_src == "u1",
+            "u2": self.u2_src == "u2",
+            "omega": "omega" in (self.u1_src, self.u2_src),
+        }
+        return tuple(name for name, on in wanted.items() if on)
 
     @property
     def alias_pairs(self) -> tuple[tuple[str, str], ...]:
@@ -178,6 +234,24 @@ class CasePreset:
         if self.u1_src == "omega" and self.u2_src == "omega":
             pairs.append(("u2", "u1"))
         return tuple(pairs)
+
+    @property
+    def checks(self) -> tuple[str, ...]:
+        """The residuals ``verify_case`` computes, in listing order; a stated
+        law the prose deviates from is reported, not gated."""
+        stated = "metricity_stated"
+        if self.prose_deviation is not None:
+            stated += " (reported, prose deviates)"
+        out = ("reduced_connection", "metricity_general", "torsion_law", stated)
+        if self.symmetric:
+            out += ("torsion_zero",)
+        if self.id == "17":  # and its reduced curvature law
+            out += (
+                "curvature_reduced_vs_formula",
+                "curvature_reduced_vs_direct",
+                "s_skew_identity",
+            )
+        return out
 
 
 _COEFF_DEVIATION = (
@@ -191,34 +265,21 @@ _PRESETS = (
         name="quarter-symmetric metric connection",
         f1=0.0,
         f2=0.0,
-        required=("u", "phi"),
         phi_mode="full",
-        uses_u=True,
-        u1_src=None,
-        u2_src=None,
     ),
     CasePreset(
         id="2",
         name="Ricci quarter-symmetric metric connection",
         f1=0.0,
         f2=0.0,
-        required=("u",),
         phi_mode="ricci",
-        uses_u=True,
-        u1_src=None,
-        u2_src=None,
-        requires_curved=True,
     ),
     CasePreset(
         id="2a",
         name="quarter-symmetric metric connection, self-adjoint phi",
         f1=0.0,
         f2=0.0,
-        required=("u", "phi"),
         phi_mode="sym",
-        uses_u=True,
-        u1_src=None,
-        u2_src=None,
         parent="2",
     ),
     CasePreset(
@@ -226,44 +287,31 @@ _PRESETS = (
         name="quarter-symmetric metric connection, skew-adjoint phi",
         f1=0.0,
         f2=0.0,
-        required=("u", "phi"),
         phi_mode="skew",
-        uses_u=True,
-        u1_src=None,
-        u2_src=None,
     ),
     CasePreset(
         id="4",
         name="quarter-symmetric recurrent-metric connection",
         f1=2.0,
         f2=0.0,
-        required=("u", "phi", "u1"),
         phi_mode="sym",
-        uses_u=True,
         u1_src="u1",
-        u2_src=None,
     ),
     CasePreset(
         id="5",
         name="special quarter-symmetric recurrent-metric connection",
         f1=1.0,
         f2=0.0,
-        required=("u", "phi"),
         phi_mode="sym",
-        uses_u=True,
         u1_src="u",
-        u2_src=None,
     ),
     CasePreset(
         id="6",
         name="quarter-symmetric recurrent-metric connection, skew-adjoint phi",
         f1=2.0,
         f2=0.0,
-        required=("u", "phi", "u1"),
         phi_mode="skew",
-        uses_u=True,
         u1_src="u1",
-        u2_src=None,
         prose_deviation=_COEFF_DEVIATION,
     ),
     CasePreset(
@@ -274,21 +322,15 @@ _PRESETS = (
         ),
         f1=1.0,
         f2=0.0,
-        required=("u", "phi"),
         phi_mode="skew",
-        uses_u=True,
         u1_src="u",
-        u2_src=None,
     ),
     CasePreset(
         id="8",
         name="quarter-symmetric non-metric connection",
         f1=0.0,
         f2=2.0,
-        required=("u", "phi", "u2"),
         phi_mode="sym",
-        uses_u=True,
-        u1_src=None,
         u2_src="u2",
     ),
     CasePreset(
@@ -296,10 +338,7 @@ _PRESETS = (
         name="quarter-symmetric non-metric connection, u2 = u",
         f1=0.0,
         f2=2.0,
-        required=("u", "phi"),
         phi_mode="sym",
-        uses_u=True,
-        u1_src=None,
         u2_src="u",
     ),
     CasePreset(
@@ -307,10 +346,7 @@ _PRESETS = (
         name="quarter-symmetric non-metric connection, skew-adjoint phi",
         f1=0.0,
         f2=2.0,
-        required=("u", "phi", "u2"),
         phi_mode="skew",
-        uses_u=True,
-        u1_src=None,
         u2_src="u2",
     ),
     CasePreset(
@@ -318,10 +354,7 @@ _PRESETS = (
         name="quarter-symmetric non-metric connection, skew-adjoint phi, u2 = u",
         f1=0.0,
         f2=2.0,
-        required=("u", "phi"),
         phi_mode="skew",
-        uses_u=True,
-        u1_src=None,
         u2_src="u",
     ),
     CasePreset(
@@ -329,22 +362,15 @@ _PRESETS = (
         name="semi-symmetric metric connection",
         f1=0.0,
         f2=0.0,
-        required=("u",),
         phi_mode="identity",
-        uses_u=True,
-        u1_src=None,
-        u2_src=None,
     ),
     CasePreset(
         id="13",
         name="semi-symmetric recurrent-metric connection",
         f1=2.0,
         f2=0.0,
-        required=("u", "u1"),
         phi_mode="identity",
-        uses_u=True,
         u1_src="u1",
-        u2_src=None,
         prose_deviation=_COEFF_DEVIATION,
     ),
     CasePreset(
@@ -352,11 +378,8 @@ _PRESETS = (
         name="semi-symmetric recurrent-metric connection, f1 = 1",
         f1=1.0,
         f2=0.0,
-        required=("u", "u1"),
         phi_mode="identity",
-        uses_u=True,
         u1_src="u1",
-        u2_src=None,
         parent="13",
     ),
     CasePreset(
@@ -364,11 +387,8 @@ _PRESETS = (
         name="semi-symmetric recurrent-metric connection, f1 = 1, u1 = u",
         f1=1.0,
         f2=0.0,
-        required=("u",),
         phi_mode="identity",
-        uses_u=True,
         u1_src="u",
-        u2_src=None,
         parent="13",
     ),
     CasePreset(
@@ -376,10 +396,7 @@ _PRESETS = (
         name="semi-symmetric non-metric connection",
         f1=0.0,
         f2=2.0,
-        required=("u", "u2"),
         phi_mode="identity",
-        uses_u=True,
-        u1_src=None,
         u2_src="u2",
     ),
     CasePreset(
@@ -387,10 +404,7 @@ _PRESETS = (
         name="semi-symmetric non-metric connection, f2 = -1",
         f1=0.0,
         f2=-1.0,
-        required=("u", "u2"),
         phi_mode="identity",
-        uses_u=True,
-        u1_src=None,
         u2_src="u2",
         parent="14",
     ),
@@ -399,10 +413,7 @@ _PRESETS = (
         name="semi-symmetric non-metric connection, f2 = -1, u2 = u",
         f1=0.0,
         f2=-1.0,
-        required=("u",),
         phi_mode="identity",
-        uses_u=True,
-        u1_src=None,
         u2_src="u",
         parent="14",
     ),
@@ -411,36 +422,26 @@ _PRESETS = (
         name="symmetric non-metric connection",
         f1=2.0,
         f2=3.0,
-        required=("u1", "u2"),
         phi_mode="none",
-        uses_u=False,
         u1_src="u1",
         u2_src="u2",
-        symmetric=True,
     ),
     CasePreset(
         id="16",
         name="Weyl connection",
         f1=0.5,
         f2=0.0,
-        required=("omega",),
         phi_mode="none",
-        uses_u=False,
         u1_src="omega",
-        u2_src=None,
-        symmetric=True,
     ),
     CasePreset(
         id="17",
         name="projectively related symmetric non-metric connection",
         f1=-1.0,
         f2=-1.0,
-        required=("omega",),
         phi_mode="none",
-        uses_u=False,
         u1_src="omega",
         u2_src="omega",
-        symmetric=True,
     ),
 )
 
@@ -463,9 +464,6 @@ def get_case(case_id) -> CasePreset:
 
 def list_cases() -> list[CasePreset]:
     return list(_PRESETS)
-
-
-_ONE_FORM_SLOTS = ("u", "u1", "u2", "omega")
 
 
 def build_case(case_id, bindings: dict, manifold: Manifold) -> ConnectionSpec:
@@ -498,19 +496,6 @@ def build_case(case_id, bindings: dict, manifold: Manifold) -> ConnectionSpec:
     zero_form = PolynomialOneFormField.zero(n)
     u = bindings["u"] if preset.uses_u else zero_form
 
-    if preset.phi_mode == "full":
-        phi = bindings["phi"]
-    elif preset.phi_mode == "sym":
-        phi = SymmetricPartEndoField(bindings["phi"])
-    elif preset.phi_mode == "skew":
-        phi = SkewPartEndoField(bindings["phi"])
-    elif preset.phi_mode == "identity":
-        phi = IdentityEndoField(n)
-    elif preset.phi_mode == "ricci":
-        phi = RicciOperatorEndoField(n)
-    else:
-        phi = PolynomialEndoField.zero(n)
-
     def resolve(src):
         if src is None:
             return zero_form
@@ -525,7 +510,7 @@ def build_case(case_id, bindings: dict, manifold: Manifold) -> ConnectionSpec:
         u=u,
         u1=resolve(preset.u1_src),
         u2=resolve(preset.u2_src),
-        phi=phi,
+        phi=_PHI_MODES[preset.phi_mode].build(bindings, n),
     )
 
 

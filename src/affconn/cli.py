@@ -40,7 +40,7 @@ import sys
 
 import numpy as np
 
-from .cases import build_case, get_case, list_cases
+from .cases import _PHI_MODES, build_case, get_case, list_cases
 from .connection import (
     ConnectionSpec,
     Corruption,
@@ -164,16 +164,19 @@ def _parse_oneform(n: int, obj, where: str) -> PolynomialOneFormField:
     return PolynomialOneFormField(n, comps)
 
 
+def _poly_grid(n: int, obj, where: str) -> list:
+    """An n x n grid of polynomials, each addressed ``where[i][j]``."""
+    return [
+        [
+            poly_from_json(n, e, f"{where}[{i}][{j}]")
+            for j, e in enumerate(_field_rows(n, row, f"{where}[{i}]"))
+        ]
+        for i, row in enumerate(_field_rows(n, obj, where))
+    ]
+
+
 def _parse_endo(n: int, obj, where: str) -> PolynomialEndoField:
-    rows = []
-    for i, row in enumerate(_field_rows(n, obj, where)):
-        rows.append(
-            [
-                poly_from_json(n, e, f"{where}[{i}][{j}]")
-                for j, e in enumerate(_field_rows(n, row, f"{where}[{i}]"))
-            ]
-        )
-    return PolynomialEndoField(n, rows)
+    return PolynomialEndoField(n, _poly_grid(n, obj, where))
 
 
 def _parse_manifold(obj) -> Manifold:
@@ -207,15 +210,11 @@ def _parse_manifold(obj) -> Manifold:
     if len(lower) != len(upper):
         raise SchemaError("manifold.chart: lower and upper must have equal length")
     n = len(lower)
-    chart = Chart(n, lower, upper)
-    grid = []
-    for i, row in enumerate(_field_rows(n, obj["metric"], "manifold.metric")):
-        grid.append(
-            [
-                poly_from_json(n, e, f"manifold.metric[{i}][{j}]")
-                for j, e in enumerate(_field_rows(n, row, f"manifold.metric[{i}]"))
-            ]
-        )
+    try:
+        chart = Chart(n, lower, upper)
+    except (BadParams, DimensionMismatch) as exc:
+        raise type(exc)(f"manifold.chart: {exc}") from None
+    grid = _poly_grid(n, obj["metric"], "manifold.metric")
     return Manifold("inline", chart, PolynomialMetricField(n, grid), {"n": n})
 
 
@@ -276,7 +275,10 @@ def _parse_points(obj, chart: Chart) -> np.ndarray:
             raise SchemaError(f"points.count: expected an integer from 1 to {_MAX_POINTS}")
         if seed < 0:
             raise SchemaError("points.seed: expected a non-negative integer")
-        return chart.sample(count, seed)
+        try:
+            return chart.sample(count, seed)
+        except BadParams as exc:
+            raise BadParams(f"points: {exc}") from None
     if not isinstance(obj, list) or not obj:
         raise SchemaError("points: expected a non-empty list or a {count, seed} sampler")
     rows = []
@@ -581,50 +583,26 @@ def cmd_tensors(config: RunConfig) -> tuple[int, dict]:
 
 
 def cmd_cases() -> tuple[int, dict]:
-    phi_names = {
-        "full": "bound endomorphism",
-        "sym": "self-adjoint part of the bound endomorphism",
-        "skew": "skew-adjoint part of the bound endomorphism",
-        "identity": "identity",
-        "ricci": "Ricci operator",
-        "none": "absent",
-    }
-    entries = []
-    for preset in list_cases():
-        checks = ["reduced_connection", "metricity_general", "torsion_law"]
-        checks.append(
-            "metricity_stated (reported, prose deviates)"
-            if preset.prose_deviation
-            else "metricity_stated"
-        )
-        if preset.symmetric:
-            checks.append("torsion_zero")
-        if preset.id == "17":
-            checks += [
-                "curvature_reduced_vs_formula",
-                "curvature_reduced_vs_direct",
-                "s_skew_identity",
-            ]
-        entries.append(
-            {
-                "id": preset.id,
-                "name": preset.name,
-                "f1": preset.f1,
-                "f2": preset.f2,
-                "required_bindings": list(preset.required),
-                "phi": phi_names[preset.phi_mode],
-                "aliases": [f"{a} = {b}" for a, b in preset.alias_pairs],
-                "symmetric": preset.symmetric,
-                "manifold": "curved (Q != 0)" if preset.requires_curved else "any",
-                "parent": preset.parent,
-                "prose_deviation": preset.prose_deviation,
-                "checks": checks,
-            }
-        )
-    primary = sum(1 for p in list_cases() if p.parent is None)
+    entries = [
+        {
+            "id": preset.id,
+            "name": preset.name,
+            "f1": preset.f1,
+            "f2": preset.f2,
+            "required_bindings": preset.required,
+            "phi": _PHI_MODES[preset.phi_mode].description,
+            "aliases": [f"{a} = {b}" for a, b in preset.alias_pairs],
+            "symmetric": preset.symmetric,
+            "manifold": "curved (Q != 0)" if preset.requires_curved else "any",
+            "parent": preset.parent,
+            "prose_deviation": preset.prose_deviation,
+            "checks": preset.checks,
+        }
+        for preset in list_cases()
+    ]
     report = {
         "command": "cases",
-        "primary_count": primary,
+        "primary_count": sum(1 for e in entries if e["parent"] is None),
         "total_count": len(entries),
         "cases": entries,
     }

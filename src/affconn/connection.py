@@ -215,8 +215,7 @@ class PhiSplit:
     Phi2: np.ndarray
     phi1: np.ndarray  # (m, n, n), phi1[p, k, i] = (phi1)^k_i
     phi2: np.ndarray
-    Phi_d1: np.ndarray  # (m, n, n, n), [p, a, i, j] = d_a Phi_ij
-    Phi1_d1: np.ndarray
+    Phi1_d1: np.ndarray  # (m, n, n, n), [p, a, i, j] = d_a (Phi1)_ij
     Phi2_d1: np.ndarray
     phi1_d1: np.ndarray  # (m, n, n, n), [p, a, k, i] = d_a (phi1)^k_i
     phi2_d1: np.ndarray
@@ -249,7 +248,6 @@ def split_phi(phi: Jet, mj: Jet, inv: Jet) -> PhiSplit:
         Phi2=p2,
         phi1=phi1,
         phi2=phi2,
-        Phi_d1=p1_d1 + p2_d1,
         Phi1_d1=p1_d1,
         Phi2_d1=p2_d1,
         phi1_d1=phi1_d1,

@@ -60,27 +60,8 @@ __all__ = [
     "BINDING_NAMES",
 ]
 
-# The 14 addend groups of the curvature formula, by display line.
-GROUPS = (
-    "riemann",
-    "du_phi2",
-    "alpha_phi1",
-    "a_phi1",
-    "r0_mu",
-    "nabla_phi2",
-    "f1_block",
-    "f2_block",
-    "f1_sq",
-    "f2_sq",
-    "f1_f2",
-    "xf1_block",
-    "yf1_block",
-    "grad_f2",
-)
-
-CORRUPTIBLE_TERMS = H_TERMS + GROUPS
-
-# The spec bindings each group reads, besides the metric.
+# The 14 addend groups of the curvature formula, by display line, with the
+# spec bindings each reads besides the metric.
 GROUP_READS = {
     "riemann": (),
     "du_phi2": ("u", "phi"),
@@ -97,6 +78,10 @@ GROUP_READS = {
     "yf1_block": ("f1", "u1"),
     "grad_f2": ("f2", "u2"),
 }
+
+GROUPS = tuple(GROUP_READS)
+
+CORRUPTIBLE_TERMS = H_TERMS + GROUPS
 
 BINDING_NAMES = ("u", "u1", "u2", "f1", "f2", "phi")
 

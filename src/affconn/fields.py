@@ -175,10 +175,17 @@ class Chart:
 
     def sample(self, count: int, rng) -> np.ndarray:
         """Draw points uniformly from the box. ``rng`` is a seed or Generator."""
+        with np.errstate(over="ignore"):
+            width = self.upper - self.lower
+        if not np.all(np.isfinite(width)):
+            raise BadParams(
+                "cannot sample a chart box whose width overflows a float; "
+                "list the points instead"
+            )
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(int(rng))
         u = rng.uniform(0.0, 1.0, size=(count, self.n))
-        return self.lower + u * (self.upper - self.lower)
+        return self.lower + u * width
 
 
 def monomials_up_to(n: int, degree: int, min_degree: int = 0):

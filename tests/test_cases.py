@@ -1,5 +1,7 @@
 """Preset catalogue: construction, reduced laws, aliases, sub-cases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from affconn import (
     verify_case,
 )
 from affconn.cases import (
+    CasePreset,
     RicciOperatorEndoField,
     SkewPartEndoField,
     SymmetricPartEndoField,
@@ -91,6 +94,58 @@ def test_registry_constants():
     assert deviating == {"6", "13"}
     symmetric = {p.id for p in list_cases() if p.symmetric}
     assert symmetric == {"15", "16", "17"}
+
+
+# (required, uses_u, symmetric, requires_curved) as each preset spelt them
+# out before they were derived from its phi mode and one-form sources.
+STATED_SHAPES = {
+    "1": (("u", "phi"), True, False, False),
+    "2": (("u",), True, False, True),
+    "2a": (("u", "phi"), True, False, False),
+    "3": (("u", "phi"), True, False, False),
+    "4": (("u", "phi", "u1"), True, False, False),
+    "5": (("u", "phi"), True, False, False),
+    "6": (("u", "phi", "u1"), True, False, False),
+    "7": (("u", "phi"), True, False, False),
+    "8": (("u", "phi", "u2"), True, False, False),
+    "9": (("u", "phi"), True, False, False),
+    "10": (("u", "phi", "u2"), True, False, False),
+    "11": (("u", "phi"), True, False, False),
+    "12": (("u",), True, False, False),
+    "13": (("u", "u1"), True, False, False),
+    "13a": (("u", "u1"), True, False, False),
+    "13b": (("u",), True, False, False),
+    "14": (("u", "u2"), True, False, False),
+    "14a": (("u", "u2"), True, False, False),
+    "14b": (("u",), True, False, False),
+    "15": (("u1", "u2"), False, True, False),
+    "16": (("omega",), False, True, False),
+    "17": (("omega",), False, True, False),
+}
+
+
+def test_presets_store_only_their_choices():
+    assert [f.name for f in dataclasses.fields(CasePreset)] == [
+        "id", "name", "f1", "f2", "phi_mode", "u1_src", "u2_src",
+        "prose_deviation", "parent",
+    ]
+
+
+@pytest.mark.parametrize("cid", case_ids())
+def test_derived_preset_shape_matches_the_stated_one(cid):
+    preset = get_case(cid)
+    shape = (preset.required, preset.uses_u, preset.symmetric, preset.requires_curved)
+    assert shape == STATED_SHAPES[cid]
+
+
+@pytest.mark.parametrize("cid", case_ids())
+def test_listed_checks_are_the_checks_verify_case_runs(bumpy3, cid):
+    preset = get_case(cid)
+    rng = np.random.default_rng(70 + int(cid.rstrip("ab")))
+    res = verify_case(cid, bindings_for(preset, 3, rng), bumpy3, bumpy3.chart.sample(4, 53))
+    listed = [name.removesuffix(" (reported, prose deviates)") for name in preset.checks]
+    assert sorted([*res.residuals, *res.reported]) == sorted(listed)
+    assert len(set(listed)) == len(listed)
 
 
 # ------------------------------------------------------------ construction
@@ -179,6 +234,13 @@ def test_part_fields_delegate_zero_and_order():
     assert SkewPartEndoField(z).min_metric_order == 1
     assert RicciOperatorEndoField(2).min_metric_order == 3
     assert not RicciOperatorEndoField(2).is_zero
+
+
+@pytest.mark.parametrize("cls, part", [(SymmetricPartEndoField, "symmetric"),
+                                       (SkewPartEndoField, "skew")])
+def test_part_fields_refuse_a_non_endomorphism_base(cls, part):
+    with pytest.raises(BadParams, match=f"^{part} part needs an endomorphism base field$"):
+        cls(PolynomialOneFormField.zero(2))
 
 
 def test_ricci_operator_field_values(sphere, flat2):

@@ -573,6 +573,31 @@ def test_config_errors_found_by_fuzzing_name_their_path(tmp_path, capsys, patch,
     assert err.startswith(f"error: {message}")
 
 
+WIDE_CHART = {"chart": {"lower": [-1e308, -1e308], "upper": [1e308, 1e308]},
+              "metric": [[1.0, 0], [0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "patch, code, message",
+    [
+        ({"manifold": WIDE_CHART, "points": {"count": 3, "seed": 1}}, 2,
+         "points: cannot sample a chart box whose width overflows a float"),
+        ({"manifold": WIDE_CHART}, 0, None),
+        ({"manifold": {"chart": {"lower": [1.0, 1.0], "upper": [0.0, 2.0]},
+                       "metric": [[1.0, 0], [0, 1.0]]}}, 2,
+         "manifold.chart: chart upper bounds must exceed lower bounds"),
+    ],
+)
+def test_chart_boxes_are_checked_without_warnings(tmp_path, capsys, patch, code, message):
+    path = config_file(tmp_path, dict(MINIMAL, **patch))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_main(capsys, "verify", "--config", path)
+    assert got == code
+    if message is not None:
+        assert out == "" and err.startswith(f"error: {message}")
+
+
 def test_overflowing_polynomials_never_pass(tmp_path, capsys):
     huge = {"terms": [{"c": 1e300, "e": [3, 0]}]}
     payload = dict(MINIMAL, connection={"raw": {"f1": huge, "u": [huge, 0]}},

@@ -1,7 +1,9 @@
 """Smoke test of ``tools/report_digest.py``, the bit-identity check between
 two trees: its output format, and that its digest is stable and sees the
-batch size."""
+batch size.  Also a guard on the library surface ``perfbench/tracing.py``
+wraps, which the benchmark's own tests check only outside this suite."""
 
+import importlib
 import importlib.util
 import json
 import re
@@ -9,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-DIGEST_SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "report_digest.py"
+ROOT = Path(__file__).resolve().parents[1]
+DIGEST_SCRIPT = ROOT / "tools" / "report_digest.py"
+TRACING_MODULE = ROOT / "perfbench" / "tracing.py"
 
 X1 = {"terms": [{"c": 1.0, "e": [1, 0]}]}
 X2 = {"terms": [{"c": 1.0, "e": [0, 1]}]}
@@ -28,12 +32,16 @@ def raw_bumpy2(points_seed: int) -> dict:
     }
 
 
-@pytest.fixture(scope="module")
-def report_digest():
-    spec = importlib.util.spec_from_file_location("report_digest", DIGEST_SCRIPT)
+def load_script(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def report_digest():
+    return load_script("report_digest", DIGEST_SCRIPT)
 
 
 def test_report_digest_prints_a_stable_digest_per_config(tmp_path, capsys, report_digest):
@@ -55,3 +63,17 @@ def test_report_digest_prints_a_stable_digest_per_config(tmp_path, capsys, repor
     wider = digests("--points", "4")
     assert [name for _, name in wider] == [*paths, "overall"]
     assert all(a != b for (a, _), (b, _) in zip(wider, first))
+
+
+def test_every_traced_target_resolves_as_the_tracer_wraps_it():
+    """Each ``TARGETS`` entry names a callable the tracer can replace; a
+    method must be in its own class's ``__dict__``, not inherited, since
+    ``Tracer.install`` reads and restores it there."""
+    tracing = load_script("tracing", TRACING_MODULE)
+    for mod, attr, layer, _bucket in tracing.TARGETS:
+        assert layer in tracing.LAYERS
+        owner, name = tracing._resolve(importlib.import_module(f"affconn.{mod}"), attr)
+        if isinstance(owner, type):
+            assert callable(owner.__dict__.get(name)), f"{mod}.{attr} is not the class's own"
+        else:
+            assert callable(getattr(owner, name, None)), f"{mod}.{attr} is missing"
