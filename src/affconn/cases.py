@@ -3,14 +3,15 @@
 Each preset pins (f1, f2), the shape of phi (full, self-adjoint part,
 skew-adjoint part, identity, Ricci operator, or absent) and which one-forms
 are bound, and carries the case's displayed reduced connection law and
-metricity law as independently coded right-hand sides.  ``verify_case``
-evaluates both the general machinery and the reduced laws on a point batch
-and reports residuals.
+metricity law as independently coded right-hand sides.  ``case_rows``
+checks them on an evaluated frame; ``verify_case`` and ``affconn verify``
+run them after the general laws, ``PointFrame.law_rows``.
 
 A preset states only its choices: id, name, f1, f2, phi mode, the sources
 of u1 and u2, a prose deviation and a parent.  What they imply is derived:
 the bindings it requires, whether it uses u, whether it is torsion-free,
-whether it needs a curved metric, and the checks it runs.  The reduced laws
+whether it needs a curved metric, and the rows ``case_rows`` adds to the
+general laws (``checks``).  The reduced laws
 (``_reduced_gamma``, ``_stated_metricity`` and case 17's curvature law) are
 not derived: they are the independent side of each check, so building them
 from the general construction would check that construction against itself.
@@ -27,21 +28,18 @@ all slots, so the aliased jets are bit-identical by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .connection import (
     ConnectionSpec,
+    _valid_tolerance,
     evaluate_spec,
     max_abs,
-    nonmetricity_direct,
-    nonmetricity_predicted,
     norm_residual,
     split_phi,
-    torsion_direct,
-    torsion_predicted,
 )
 from .curvature import curvature_direct, curvature_formula, exterior_2du
 from .errors import (
@@ -74,6 +72,7 @@ __all__ = [
     "get_case",
     "list_cases",
     "build_case",
+    "case_rows",
     "verify_case",
 ]
 
@@ -237,12 +236,13 @@ class CasePreset:
 
     @property
     def checks(self) -> tuple[str, ...]:
-        """The residuals ``verify_case`` computes, in listing order; a stated
-        law the prose deviates from is reported, not gated."""
+        """The rows ``case_rows`` adds to ``torsion_law`` and
+        ``metricity_law``; a stated law the prose deviates from is reported,
+        not gated."""
         stated = "metricity_stated"
         if self.prose_deviation is not None:
             stated += " (reported, prose deviates)"
-        out = ("reduced_connection", "metricity_general", "torsion_law", stated)
+        out = ("reduced_connection", stated)
         if self.symmetric:
             out += ("torsion_zero",)
         if self.id == "17":  # and its reduced curvature law
@@ -632,28 +632,57 @@ def _stated_metricity(preset: CasePreset, frame) -> np.ndarray:
     raise CaseUnknown(f"no stated metricity law for case {pid!r}")
 
 
+def case_rows(preset: CasePreset, frame, curvatures) -> list:
+    """The preset's own laws on ``frame`` as (check, residual, tolerance key)
+    rows, as ``preset.checks`` lists them; a key of None means reported, not
+    gated.  ``curvatures()`` gives R~ by the formula and by the direct oracle:
+    only case 17's reduced curvature law calls it."""
+    stated = "metricity" if preset.prose_deviation is None else None
+    rows = [
+        ("reduced_connection",
+         norm_residual(_reduced_gamma(preset, frame), frame.gamma_tilde), "torsion"),
+        ("metricity_stated",
+         norm_residual(frame.nabla_g, _stated_metricity(preset, frame)), stated),
+    ]
+    if preset.symmetric:
+        t = frame.torsion
+        rows.append(("torsion_zero", norm_residual(t, np.zeros_like(t)), "torsion"))
+    if preset.id == "17":
+        omega = frame.u1
+        s = cov_deriv_oneform(omega.comp, omega.d1, frame.geo.gamma) - np.einsum(
+            "pi,pj->pij", omega.comp, omega.comp
+        )
+        eye = np.eye(frame.geo.n)
+        s_skew = s - s.swapaxes(1, 2)
+        reduced = (
+            frame.geo.riemann.r
+            + np.einsum("pik,lj->plijk", s, eye, order="F")
+            - np.einsum("pjk,li->plijk", s, eye, order="F")
+            + np.einsum("pij,lk->plijk", s_skew, eye, order="F")
+        )
+        r_formula, r_direct = curvatures()
+        rows += [
+            ("curvature_reduced_vs_formula", norm_residual(reduced, r_formula), "torsion"),
+            ("curvature_reduced_vs_direct", norm_residual(reduced, r_direct), "curvature"),
+            ("s_skew_identity", norm_residual(s_skew, exterior_2du(omega)), "torsion"),
+        ]
+    return rows
+
+
 @dataclass
 class CaseCheckResult:
     case_id: str
     name: str
-    residuals: dict[str, float]
-    tolerances: dict[str, float]
+    residuals: dict[str, float] = field(default_factory=dict)
+    tolerances: dict[str, float] = field(default_factory=dict)
     reported: dict[str, float] = field(default_factory=dict)
     aliases: dict[str, bool] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     passed: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "case": self.case_id,
-            "name": self.name,
-            "residuals": dict(self.residuals),
-            "tolerances": dict(self.tolerances),
-            "reported": dict(self.reported),
-            "aliases": dict(self.aliases),
-            "notes": list(self.notes),
-            "pass": self.passed,
-        }
+        out = asdict(self)
+        return {"case": out.pop("case_id"), "pass": out.pop("passed"), **out}
 
 
 def verify_case(
@@ -666,95 +695,44 @@ def verify_case(
 ) -> CaseCheckResult:
     """Check the preset's displayed laws against the general machinery.
 
-    Gating checks: reduced-vs-general connection coefficients, the general
-    metricity law, the stated metricity law (unless the preset records a
-    prose deviation, in which case it is reported only), the torsion law,
-    torsion-free-ness for the symmetric presets, binding-alias bit-identity,
-    and for case 17 the reduced curvature law plus the skew identity of s.
+    Runs the general torsion and metricity laws, then ``case_rows``; the
+    reduced curvature law against the oracle gates at
+    ``curvature_tolerance``, every other row at ``tolerance``.  Aliased
+    bindings must also be bit-identical.
     """
+    _valid_tolerance(tolerance, "tolerance")
+    _valid_tolerance(curvature_tolerance, "curvature_tolerance")
     preset = get_case(case_id)
     spec = build_case(case_id, bindings, manifold)
     order = 2 if preset.id == "17" else 1
+    result = CaseCheckResult(preset.id, preset.name)
+    keyed = {"curvature": curvature_tolerance}  # every other key gates at tolerance
     with _evaluation_context():
         frame = evaluate_spec(manifold.chart, manifold.metric, spec, pts, order=order)
 
-        residuals: dict[str, float] = {}
-        tolerances: dict[str, float] = {}
-        reported: dict[str, float] = {}
-        notes: list[str] = []
-
-        def gate(name: str, value: float, tol: float):
-            residuals[name] = value
-            tolerances[name] = tol
-
-        reduced = _reduced_gamma(preset, frame)
-        gate("reduced_connection", norm_residual(reduced, frame.gamma_tilde), tolerance)
-
-        q_direct = nonmetricity_direct(frame.gamma_tilde, frame.geo.metric)
-        q_general = nonmetricity_predicted(
-            frame.geo.g, frame.u1.comp, frame.u2.comp, frame.f1.value, frame.f2.value
-        )
-        gate("metricity_general", norm_residual(q_direct, q_general), tolerance)
-
-        stated = _stated_metricity(preset, frame)
-        stated_res = norm_residual(q_direct, stated)
-        if preset.prose_deviation is None:
-            gate("metricity_stated", stated_res, tolerance)
-        else:
-            reported["metricity_stated"] = stated_res
-            notes.append(f"case {preset.id}: {preset.prose_deviation} "
-                         f"(stated-law residual {stated_res:.3e})")
-
-        t_direct = torsion_direct(frame.gamma_tilde)
-        t_law = torsion_predicted(frame.u.comp, frame.phi.comp)
-        gate("torsion_law", norm_residual(t_direct, t_law), tolerance)
-        if preset.symmetric:
-            gate("torsion_zero", norm_residual(t_direct, np.zeros_like(t_direct)), tolerance)
-
-        if preset.id == "17":
-            omega = frame.u1
-            s = cov_deriv_oneform(omega.comp, omega.d1, frame.geo.gamma) - np.einsum(
-                "pi,pj->pij", omega.comp, omega.comp
+        def curvatures():
+            return curvature_formula(frame)[0], curvature_direct(
+                manifold.chart, manifold.metric, spec, frame.geo.pts
             )
-            eye = np.eye(frame.geo.n)
-            s_skew = s - s.swapaxes(1, 2)
-            r_reduced = (
-                frame.geo.riemann.r
-                + np.einsum("pik,lj->plijk", s, eye, order="F")
-                - np.einsum("pjk,li->plijk", s, eye, order="F")
-                + np.einsum("pij,lk->plijk", s_skew, eye, order="F")
-            )
-            r_formula, _ = curvature_formula(frame)
-            r_direct = curvature_direct(manifold.chart, manifold.metric, spec, frame.geo.pts)
-            gate("curvature_reduced_vs_formula", norm_residual(r_reduced, r_formula), tolerance)
-            gate(
-                "curvature_reduced_vs_direct",
-                norm_residual(r_reduced, r_direct),
-                curvature_tolerance,
-            )
-            gate("s_skew_identity", norm_residual(s_skew, exterior_2du(omega)), tolerance)
 
-        aliases: dict[str, bool] = {}
-        slots = {"u": frame.u, "u1": frame.u1, "u2": frame.u2}
-        for left, right in preset.alias_pairs:
-            aliases[f"{left}_is_{right}"] = slots[left] is slots[right]
-
+        for name, res, key in frame.law_rows() + case_rows(preset, frame, curvatures):
+            if key is None:
+                result.reported[name] = res
+            else:
+                result.residuals[name] = res
+                result.tolerances[name] = keyed.get(key, tolerance)
+        if preset.prose_deviation is not None:
+            stated = result.reported["metricity_stated"]
+            result.notes.append(f"case {preset.id}: {preset.prose_deviation} "
+                                f"(stated-law residual {stated:.3e})")
+        jet = {"u": frame.u, "u1": frame.u1, "u2": frame.u2}
+        result.aliases = {f"{a}_is_{b}": jet[a] is jet[b] for a, b in preset.alias_pairs}
         if preset.requires_curved and max_abs(frame.phi.comp) == 0.0:
-            notes.append(
+            result.notes.append(
                 f"case {preset.id}: the Ricci operator vanishes on this metric, "
                 "so the preset degenerates to the Levi-Civita connection"
             )
-
-        passed = all(
-            residuals[name] <= tolerances[name] for name in residuals
-        ) and all(aliases.values())
-    return CaseCheckResult(
-        case_id=preset.id,
-        name=preset.name,
-        residuals=residuals,
-        tolerances=tolerances,
-        reported=reported,
-        aliases=aliases,
-        notes=notes,
-        passed=passed,
-    )
+    result.passed = all(
+        res <= result.tolerances[name] for name, res in result.residuals.items()
+    ) and all(result.aliases.values())
+    return result

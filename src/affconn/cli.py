@@ -40,16 +40,13 @@ import sys
 
 import numpy as np
 
-from .cases import _PHI_MODES, build_case, get_case, list_cases
+from .cases import _PHI_MODES, build_case, case_rows, get_case, list_cases
 from .connection import (
     ConnectionSpec,
     Corruption,
+    _valid_tolerance,
     evaluate_spec,
-    nonmetricity_direct,
-    nonmetricity_predicted,
     norm_residual,
-    torsion_direct,
-    torsion_predicted,
     transpose_torsion_closed,
     transpose_torsion_from_metric,
 )
@@ -97,10 +94,6 @@ _CONVENTIONS = {
 
 # Larger sampler counts are refused before anything is allocated.
 _MAX_POINTS = 1_000_000
-
-# A per-point residual is at most 2, since |a - b| <= 2 max(1, |a|, |b|):
-# a tolerance of 2 or more could never fail, so it would switch its check off.
-_TOLERANCE_LIMIT = 2.0
 
 _DEFAULT_TOLERANCES = {
     "torsion": 1e-10,
@@ -156,6 +149,14 @@ def _field_rows(n: int, obj, where: str) -> list:
     return obj
 
 
+def _at(where: str, build):
+    """``build()``, with ``where: `` put before a parameter error's message."""
+    try:
+        return build()
+    except (BadParams, DimensionMismatch, UnknownPreset) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def _parse_oneform(n: int, obj, where: str) -> PolynomialOneFormField:
     comps = [
         poly_from_json(n, c, f"{where}[{i}]")
@@ -186,10 +187,7 @@ def _parse_manifold(obj) -> Manifold:
         name = params.pop("preset")
         if not isinstance(name, str):
             raise SchemaError("manifold.preset: expected a string")
-        try:
-            return preset_manifold(name, params)
-        except (BadParams, UnknownPreset) as exc:
-            raise type(exc)(f"manifold: {exc}") from None
+        return _at("manifold", lambda: preset_manifold(name, params))
     if "chart" not in obj or "metric" not in obj:
         raise SchemaError(
             "manifold: expected either a 'preset' or a 'chart' plus 'metric'"
@@ -210,12 +208,10 @@ def _parse_manifold(obj) -> Manifold:
     if len(lower) != len(upper):
         raise SchemaError("manifold.chart: lower and upper must have equal length")
     n = len(lower)
-    try:
-        chart = Chart(n, lower, upper)
-    except (BadParams, DimensionMismatch) as exc:
-        raise type(exc)(f"manifold.chart: {exc}") from None
+    chart = _at("manifold.chart", lambda: Chart(n, lower, upper))
     grid = _poly_grid(n, obj["metric"], "manifold.metric")
-    return Manifold("inline", chart, PolynomialMetricField(n, grid), {"n": n})
+    metric = _at("manifold.metric", lambda: PolynomialMetricField(n, grid))
+    return Manifold("inline", chart, metric, {"n": n})
 
 
 def _parse_connection(obj, manifold: Manifold):
@@ -275,10 +271,7 @@ def _parse_points(obj, chart: Chart) -> np.ndarray:
             raise SchemaError(f"points.count: expected an integer from 1 to {_MAX_POINTS}")
         if seed < 0:
             raise SchemaError("points.seed: expected a non-negative integer")
-        try:
-            return chart.sample(count, seed)
-        except BadParams as exc:
-            raise BadParams(f"points: {exc}") from None
+        return _at("points", lambda: chart.sample(count, seed))
     if not isinstance(obj, list) or not obj:
         raise SchemaError("points: expected a non-empty list or a {count, seed} sampler")
     rows = []
@@ -306,18 +299,8 @@ def _parse_tolerances(obj) -> dict:
         raise SchemaError(f"tolerances: unknown keys {sorted(extra)}")
     for name, val in obj.items():
         where = f"tolerances.{name}"
-        tols[name] = _tolerance(_number(val, where), where)
+        tols[name] = _valid_tolerance(_number(val, where), where)
     return tols
-
-
-def _tolerance(v: float, where: str) -> float:
-    if not math.isfinite(v):
-        raise SchemaError(f"{where}: expected a finite number")
-    if not v > 0:
-        raise SchemaError(f"{where}: expected a positive number")
-    if not v < _TOLERANCE_LIMIT:
-        raise SchemaError(f"{where}: expected a number below {_TOLERANCE_LIMIT:g}")
-    return v
 
 
 def parse_config(text: str) -> RunConfig:
@@ -484,13 +467,9 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
                 chart, metric, spec, pts, order=needed_order(spec), corrupt=corruption
             )
 
-            t_direct = torsion_direct(frame.gamma_tilde)
-            t_law = torsion_predicted(frame.u.comp, frame.phi.comp)
-            q_direct = nonmetricity_direct(frame.gamma_tilde, frame.geo.metric)
-            q_law = nonmetricity_predicted(
-                frame.geo.g, frame.u1.comp, frame.u2.comp, frame.f1.value, frame.f2.value
+            tp_metric = transpose_torsion_from_metric(
+                frame.torsion, frame.geo.g, frame.geo.ginv
             )
-            tp_metric = transpose_torsion_from_metric(t_direct, frame.geo.g, frame.geo.ginv)
             tp_closed = transpose_torsion_closed(
                 frame.u.comp, frame.split, frame.u_sharp.comp
             )
@@ -499,18 +478,20 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
             # np.max, unlike max(), keeps a NaN residual
             antisym = float(np.max([norm_residual(r_formula, -r_formula.swapaxes(2, 3)),
                                     norm_residual(r_direct, -r_direct.swapaxes(2, 3))]))
-            rows = [
-                ("torsion_law", norm_residual(t_direct, t_law), tols["torsion"]),
-                ("metricity_law", norm_residual(q_direct, q_law), tols["metricity"]),
-                ("transpose_torsion_law", norm_residual(tp_metric, tp_closed),
-                 tols["transpose"]),
-                ("curvature_antisymmetry", antisym, tols["antisymmetry"]),
+            rows = frame.law_rows() + [
+                ("transpose_torsion_law", norm_residual(tp_metric, tp_closed), "transpose"),
+                ("curvature_antisymmetry", antisym, "antisymmetry"),
                 ("curvature_formula_vs_direct", norm_residual(r_formula, r_direct),
-                 tols["curvature"]),
+                 "curvature"),
             ]
+            if config.case_id is not None:  # and the preset's own laws
+                preset = get_case(config.case_id)
+                rows += case_rows(preset, frame, lambda: (r_formula, r_direct))
 
-        # a non-finite residual has no number to report: it fails and is named
-        non_finite = [name for name, res, _ in rows if not math.isfinite(res)]
+        # A row without a tolerance key is reported, not gated.  A non-finite
+        # residual has no number to report: a gated one fails and is named.
+        gated = [(name, res, tols[key]) for name, res, key in rows if key is not None]
+        non_finite = [name for name, res, _ in gated if not math.isfinite(res)]
         checks = [
             {
                 "check": name,
@@ -518,8 +499,10 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
                 "tolerance": tol,
                 "pass": bool(res <= tol),
             }
-            for name, res, tol in rows
+            for name, res, tol in gated
         ]
+        reported = [{"check": name, "residual": res if math.isfinite(res) else None}
+                    for name, res, key in rows if key is None]
         ok = all(c["pass"] for c in checks)
         report = {
             "command": "verify",
@@ -531,6 +514,8 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
             "checks": checks,
             "pass": ok,
         }
+        if reported:
+            report["reported"] = reported
         if non_finite:
             report["non_finite_checks"] = non_finite
         elif not ok:
@@ -556,8 +541,8 @@ def cmd_tensors(config: RunConfig) -> tuple[int, dict]:
             "g": frame.geo.g,
             "gamma": frame.geo.gamma,
             "gamma_tilde": frame.gamma_tilde,
-            "torsion": torsion_direct(frame.gamma_tilde),
-            "nabla_g": nonmetricity_direct(frame.gamma_tilde, frame.geo.metric),
+            "torsion": frame.torsion,
+            "nabla_g": frame.nabla_g,
             "r_formula": curvature_formula(frame)[0],
             "r_direct": curvature_direct(chart, metric, spec, pts),
         }
@@ -656,7 +641,7 @@ def _load_config(path: str, tolerance: float | None, output_flag: str | None) ->
         text = fh.read()
     config = parse_config(text)
     if tolerance is not None:
-        tolerance = _tolerance(tolerance, "--tolerance")
+        tolerance = _valid_tolerance(tolerance, "--tolerance")
         config.tolerances = {name: tolerance for name in config.tolerances}
     if output_flag is not None:
         config.output = output_flag

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,6 +192,22 @@ def norm_residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(point_residuals(a, b), initial=0.0))
 
 
+# A per-point residual is at most 2, since |a - b| <= 2 max(1, |a|, |b|):
+# a tolerance of 2 or more could never fail, so it would switch its check off.
+_TOLERANCE_LIMIT = 2.0
+
+
+def _valid_tolerance(v: float, where: str) -> float:
+    """``v`` if it can gate a residual: finite, above 0 and below 2."""
+    if not math.isfinite(v):
+        raise BadParams(f"{where}: expected a finite number")
+    if not v > 0:
+        raise BadParams(f"{where}: expected a positive number")
+    if not v < _TOLERANCE_LIMIT:
+        raise BadParams(f"{where}: expected a number below {_TOLERANCE_LIMIT:g}")
+    return v
+
+
 def sharp(eta: Jet, inv: Jet) -> Jet:
     """Raise a one-form: xi^k = g^km eta_m, with the exact 1-jet."""
     comp = np.einsum("pkm,pm->pk", inv.comp, eta.comp)
@@ -343,9 +360,9 @@ def resolve_endo_jet(phi_field, geo: PointGeometry) -> Jet:
 class PointFrame:
     """Everything Theorem-1 checks need at one batch of points.
 
-    H and Gamma~ are computed on first read, with ``corrupt`` applied to H:
-    the curvature formula reads neither, so a frame built only for it never
-    computes them.  Each frame computes its own, so they are writable.
+    H, Gamma~, torsion and nabla~ g are computed on first read, with ``corrupt``
+    applied to H: the curvature formula reads none, so a frame built only for
+    it never computes them.  Each frame computes its own, so they are writable.
     """
 
     geo: PointGeometry
@@ -380,6 +397,25 @@ class PointFrame:
     @functools.cached_property
     def gamma_tilde(self) -> np.ndarray:
         return self.geo.gamma + self.h
+
+    @functools.cached_property
+    def torsion(self) -> np.ndarray:
+        return torsion_direct(self.gamma_tilde)
+
+    @functools.cached_property
+    def nabla_g(self) -> np.ndarray:
+        return nonmetricity_direct(self.gamma_tilde, self.geo.metric)
+
+    def law_rows(self) -> list:
+        """The torsion and metricity laws as (check, residual, tolerance key) rows."""
+        t_law = torsion_predicted(self.u.comp, self.phi.comp)
+        q_law = nonmetricity_predicted(
+            self.geo.g, self.u1.comp, self.u2.comp, self.f1.value, self.f2.value
+        )
+        return [
+            ("torsion_law", norm_residual(self.torsion, t_law), "torsion"),
+            ("metricity_law", norm_residual(self.nabla_g, q_law), "metricity"),
+        ]
 
 
 def evaluate_spec(

@@ -23,6 +23,7 @@ from affconn import (
     torsion_direct,
     verify_case,
 )
+from affconn import cases
 from affconn.cases import (
     CasePreset,
     RicciOperatorEndoField,
@@ -140,11 +141,15 @@ def test_derived_preset_shape_matches_the_stated_one(cid):
 
 @pytest.mark.parametrize("cid", case_ids())
 def test_listed_checks_are_the_checks_verify_case_runs(bumpy3, cid):
+    # the two general laws, then exactly what the preset lists, in order
     preset = get_case(cid)
     rng = np.random.default_rng(70 + int(cid.rstrip("ab")))
     res = verify_case(cid, bindings_for(preset, 3, rng), bumpy3, bumpy3.chart.sample(4, 53))
-    listed = [name.removesuffix(" (reported, prose deviates)") for name in preset.checks]
-    assert sorted([*res.residuals, *res.reported]) == sorted(listed)
+    listed = ["torsion_law", "metricity_law"] + [
+        name.removesuffix(" (reported, prose deviates)") for name in preset.checks
+    ]
+    assert [name for name in listed if name not in res.reported] == list(res.residuals)
+    assert [name for name in listed if name in res.reported] == list(res.reported)
     assert len(set(listed)) == len(listed)
 
 
@@ -289,6 +294,21 @@ def test_each_case_passes_on_the_round_sphere(sphere, cid):
     rng = np.random.default_rng(60 + int(cid.rstrip("ab") or 0))
     res = verify_case(cid, bindings_for(get_case(cid), 2, rng), sphere, sphere.chart.sample(8, 51))
     assert res.passed, res.residuals
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-10, 2.0])
+@pytest.mark.parametrize("argument", ["tolerance", "curvature_tolerance"])
+def test_verify_case_refuses_a_tolerance_that_cannot_gate(bumpy2, monkeypatch, argument, bad):
+    # an infinite tolerance would pass a wrong reduced law; NaN or one at or
+    # below zero would fail every check without saying why
+    reduced_gamma = cases._reduced_gamma
+    monkeypatch.setattr(cases, "_reduced_gamma", lambda p, f: 1.5 * reduced_gamma(p, f))
+    rng = np.random.default_rng(20)
+    with pytest.raises(BadParams, match=f"^{argument}: expected a"):
+        verify_case(12, bindings_for(get_case(12), 2, rng), bumpy2,
+                    bumpy2.chart.sample(10, 60), **{argument: bad})
+    assert not verify_case(12, bindings_for(get_case(12), 2, rng), bumpy2,
+                           bumpy2.chart.sample(10, 60)).passed
 
 
 def test_symmetric_cases_have_exactly_zero_torsion(bumpy2):

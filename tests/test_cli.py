@@ -160,6 +160,14 @@ def test_parse_inline_metric_manifold():
         parse_config(json.dumps(asym))
 
 
+def test_inline_metric_errors_name_the_metric(tmp_path, capsys):
+    payload = dict(MINIMAL, manifold={"chart": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+                                      "metric": [[1, 2], [0, 1]]})
+    code, out, err = run_main(capsys, "verify", "--config", config_file(tmp_path, payload))
+    assert code == 2 and out == ""
+    assert err == "error: manifold.metric: metric entries (0,1) and (1,0) differ\n"
+
+
 def test_parse_sampler_points():
     cfg = parse_config(json.dumps(dict(MINIMAL, points={"count": 5, "seed": 3})))
     assert cfg.points.shape == (5, 2)
@@ -226,9 +234,99 @@ def test_verify_identity_phi_fixture(tmp_path, capsys):
         "transpose_torsion_law",
         "curvature_antisymmetry",
         "curvature_formula_vs_direct",
+        "reduced_connection",
+        "metricity_stated",
     ]
     assert report["pass"] is True
     assert "conventions" in report
+    assert "reported" not in report
+
+
+GENERAL_CHECKS = [
+    "torsion_law", "metricity_law", "transpose_torsion_law",
+    "curvature_antisymmetry", "curvature_formula_vs_direct",
+]
+
+
+# The tolerance key each preset row gates at, and distinct values to tell
+# the keys apart in a report.
+CASE_ROW_KEYS = {
+    "reduced_connection": "torsion", "metricity_stated": "metricity",
+    "torsion_zero": "torsion", "curvature_reduced_vs_formula": "torsion",
+    "curvature_reduced_vs_direct": "curvature", "s_skew_identity": "torsion",
+}
+KEYED_TOLERANCES = {"torsion": 1e-10, "metricity": 2e-10, "curvature": 3e-8}
+
+
+def case_config(preset, n=2, count=6):
+    """A case config on a bumpy metric with every binding the preset needs."""
+    poly = {"terms": [{"c": 0.5, "e": [1] + [0] * (n - 1)}, {"c": -0.25, "e": [0] * n}]}
+    form = [poly] + [float(i) / n for i in range(1, n)]
+    bindings = {name: [form] * n if name == "phi" else form for name in preset.required}
+    return {
+        "manifold": {"preset": "bumpy", "n": n, "eps": 0.05, "seed": 4},
+        "connection": {"case": preset.id, "bindings": bindings},
+        "points": {"count": count, "seed": 7},
+    }
+
+
+@pytest.mark.parametrize("preset", cases.list_cases(), ids=lambda p: p.id)
+def test_case_config_verify_adds_the_presets_listed_checks(tmp_path, capsys, preset):
+    payload = dict(case_config(preset), tolerances=KEYED_TOLERANCES)
+    code, out, _ = run_main(capsys, "verify", "--config", config_file(tmp_path, payload))
+    assert code == 0
+    report = json.loads(out)
+    suffix = " (reported, prose deviates)"
+    gated = [name for name in preset.checks if not name.endswith(suffix)]
+    assert [c["check"] for c in report["checks"]] == GENERAL_CHECKS + gated
+    reported = [name.removesuffix(suffix) for name in preset.checks if name.endswith(suffix)]
+    if preset.prose_deviation is None:
+        assert not reported and "reported" not in report
+    else:
+        assert reported == ["metricity_stated"]
+        assert [r["check"] for r in report["reported"]] == reported
+        assert report["reported"][0]["residual"] > 0.2  # the factor of two
+    for check in report["checks"][len(GENERAL_CHECKS):]:
+        assert check["tolerance"] == KEYED_TOLERANCES[CASE_ROW_KEYS[check["check"]]]
+
+
+def test_raw_config_verify_runs_only_the_general_checks(tmp_path, capsys):
+    for payload in (RAW_BUMPY2, RAW_EUCLIDEAN2):
+        code, out, _ = run_main(capsys, "verify", "--config", config_file(tmp_path, payload))
+        report = json.loads(out)
+        assert code == 0 and [c["check"] for c in report["checks"]] == GENERAL_CHECKS
+        assert "reported" not in report
+
+
+def scaled(module, name, factor):
+    """``module.name`` with its result multiplied by ``factor``."""
+    original = getattr(module, name)
+    return lambda *args: factor * original(*args)
+
+
+@pytest.mark.parametrize(
+    "case_id, target, factor, failing",
+    [
+        ("12", "_reduced_gamma", 1.5, ["reduced_connection"]),
+        ("17", "_stated_metricity", 1.01, ["metricity_stated"]),
+        ("17", "cov_deriv_oneform", 1.01,
+         ["curvature_reduced_vs_formula", "curvature_reduced_vs_direct"]),
+    ],
+)
+def test_case_config_verify_fails_a_wrong_reduced_law_by_name(
+    tmp_path, capsys, monkeypatch, case_id, target, factor, failing
+):
+    # the reduced laws are coded apart from the general construction, so a
+    # mistake in one fails only the preset's own checks
+    path = config_file(tmp_path, case_config(cases.get_case(case_id), n=3, count=10))
+    assert run_main(capsys, "verify", "--config", path)[0] == 0
+    monkeypatch.setattr(cases, target, scaled(cases, target, factor))
+    code, out, _ = run_main(capsys, "verify", "--config", path)
+    assert code == 1
+    report = json.loads(out)
+    failed = [c["check"] for c in report["checks"] if not c["pass"]]
+    assert set(failing) <= set(failed)
+    assert not set(failed) & set(GENERAL_CHECKS)
 
 
 def test_verify_random_sweep_from_sampler(tmp_path, capsys):

@@ -1,19 +1,26 @@
 """Smoke test of ``tools/report_digest.py``, the bit-identity check between
 two trees: its output format, and that its digest is stable and sees the
-batch size.  Also a guard on the library surface ``perfbench/tracing.py``
-wraps, which the benchmark's own tests check only outside this suite."""
+batch size.  Also guards on what the benchmark needs of the library, which
+its own tests check only outside this suite: the surface
+``perfbench/tracing.py`` wraps, and the verdict ``perfbench/workloads.py``
+gives each catalogue preset."""
 
 import importlib
 import importlib.util
 import json
 import re
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from affconn import list_cases, preset_manifold
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGEST_SCRIPT = ROOT / "tools" / "report_digest.py"
 TRACING_MODULE = ROOT / "perfbench" / "tracing.py"
+WORKLOADS_MODULE = ROOT / "perfbench" / "workloads.py"
 
 X1 = {"terms": [{"c": 1.0, "e": [1, 0]}]}
 X2 = {"terms": [{"c": 1.0, "e": [0, 1]}]}
@@ -33,8 +40,11 @@ def raw_bumpy2(points_seed: int) -> dict:
 
 
 def load_script(name: str, path: Path):
+    """Import the file at ``path`` as module ``name`` (registered, so that its
+    dataclasses can resolve their module)."""
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -77,3 +87,15 @@ def test_every_traced_target_resolves_as_the_tracer_wraps_it():
             assert callable(owner.__dict__.get(name)), f"{mod}.{attr} is not the class's own"
         else:
             assert callable(getattr(owner, name, None)), f"{mod}.{attr} is missing"
+
+
+def test_every_catalogue_preset_passes_the_benchmark_verdict():
+    """The ``sweep`` workload runs each preset through ``verify_case`` and
+    checks the result (passed, finite, the two prose deviations reported);
+    a change to ``verify_case`` that breaks that verdict fails the benchmark."""
+    workloads = load_script("workloads", WORKLOADS_MODULE)
+    man = preset_manifold("bumpy", {"n": 2, "eps": 0.05, "seed": 11})
+    rng = np.random.default_rng(5)
+    for k, preset in enumerate(list_cases()):
+        op = workloads.preset_op(man, preset, rng, 100 + k, main=True)
+        assert op.check(op.run()) is None, preset.id
