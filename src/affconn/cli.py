@@ -518,7 +518,7 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
             report["reported"] = reported
         if non_finite:
             report["non_finite_checks"] = non_finite
-        elif not ok:
+        elif any(not c["pass"] for c in checks if c["check"] == "curvature_formula_vs_direct"):
             report["diagnosis"] = diagnose(
                 chart, metric, spec, pts, tolerance=tols["curvature"], corrupt=corruption
             )

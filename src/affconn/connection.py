@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -198,8 +199,8 @@ _TOLERANCE_LIMIT = 2.0
 
 
 def _valid_tolerance(v: float, where: str) -> float:
-    """``v`` if it can gate a residual: finite, above 0 and below 2."""
-    if not math.isfinite(v):
+    """``v`` if it can gate a residual: a real number, finite, above 0 and below 2."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
         raise BadParams(f"{where}: expected a finite number")
     if not v > 0:
         raise BadParams(f"{where}: expected a positive number")

@@ -15,6 +15,8 @@ d_k.  The exterior derivative convention is 2du(d_i, d_j) = d_i u_j - d_j u_i.
 from __future__ import annotations
 
 import functools
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +87,41 @@ CORRUPTIBLE_TERMS = H_TERMS + GROUPS
 
 BINDING_NAMES = ("u", "u1", "u2", "f1", "f2", "phi")
 
-# Bytes of curvature per oracle block.  The oracle's temporaries, a few
-# per block of this size, then stay within a core's L2 cache instead of
-# being fresh full-batch allocations.  Fixed by measurement (README,
-# "Memory layout").
-_ORACLE_BLOCK_BYTES = 256 * 1024
+# Bytes of curvature per point block, for the formula and the oracle alike.
+# Their temporaries, a few per block of this size, then stay within a
+# core's L2 cache instead of being fresh full-batch allocations.  Fixed by
+# measurement (README, "Memory layout").
+_BLOCK_BYTES = 256 * 1024
+
+
+def _whole(arr):
+    return arr
+
+
+def _blocks(m: int, n: int) -> list:
+    """The blocks of an (m, n) batch, ``_BLOCK_BYTES`` of curvature each, as
+    functions that take a block's rows (views); a batch of one block is taken
+    as it is.  Both curvature paths run this loop, on tensors of their own."""
+    step = max(1, _BLOCK_BYTES // (8 * n**4))
+    if m <= step:
+        return [_whole]
+    return [operator.itemgetter(slice(start, start + step)) for start in range(0, m, step)]
+
+
+class _Groups(Mapping):
+    """The 14 groups of one ``curvature_formula`` call; a read builds one on the whole batch."""
+
+    def __init__(self, read):
+        self._read = read
+
+    def __getitem__(self, name):
+        return self._read(name)  # a KeyError for a name not in GROUP_READS
+
+    def __iter__(self):
+        return iter(GROUPS)
+
+    def __len__(self):
+        return len(GROUPS)
 
 
 @dataclass(frozen=True)
@@ -178,21 +210,26 @@ def _minus_swap(t: np.ndarray) -> np.ndarray:
 
 def curvature_formula(
     frame: PointFrame, corrupt: Corruption | None = None
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, Mapping]:
     """Assemble the closed-form R~ from its 14 named groups.
 
-    Returns (total, groups); each group is an (m, n, n, n, n) array in the
-    [p, l, i, j, k] layout.  ``corrupt`` scales a copy of one named group.
+    Returns (total, groups).  ``groups`` is a read-only mapping over
+    ``GROUPS``; reading a group builds it on the whole batch, an
+    (m, n, n, n, n) array in the [p, l, i, j, k] layout.  ``corrupt``
+    scales a copy of one named group.
 
-    Each group, the beta/alpha helpers of u, u1 and u2, and the f1
-    recurrence are memoised (``fields._memo``) by the frame's jets of the
-    bindings they read (``GROUP_READS``) and its geometry, so inside an
-    evaluation context a spec with one binding zeroed recomputes only the
-    groups that read it.  Values are computed when a missing group needs
-    them.  The groups are built in an evaluation context (the caller's, if
-    one is open), so each helper is computed once for every group that
-    reads it; a memoised group is read-only.  ``total`` is summed in
-    ``GROUPS`` order into a fresh buffer.
+    ``total`` is summed in ``GROUPS`` order into a fresh buffer, block by
+    block of points (``_blocks``), so a call holds one block's groups at a
+    time.  The helpers of rank at most 4 (beta/alpha of u, u1 and u2, mu,
+    nabla phi2, 2du, 2du1, the f1 recurrence) are built once per call on the
+    whole batch, when a group first needs them.
+
+    Each group, the beta/alpha helpers and the f1 recurrence are memoised
+    (``fields._memo``), read-only, by the frame's jets of the bindings they
+    read (``GROUP_READS``) and its geometry, so inside an evaluation context
+    a spec with one binding zeroed recomputes only the groups that read it.
+    A group is keyed by its block's points, in the caller's context only;
+    one block is keyed as a read of ``groups`` is.
 
     Most display lines are a term minus the same term with X and Y swapped.
     Such a pair is one einsum and its ``swapaxes(2, 3)`` view, in the place
@@ -203,9 +240,7 @@ def curvature_formula(
     """
     geo = frame.geo
     geo.metric.require_order(2, "curvature_formula")
-    g = geo.g
-    n = geo.n
-    eye = np.eye(n)
+    g, eye = geo.g, np.eye(geo.n)
     split = frame.split
     u, u1, u2 = frame.u.comp, frame.u1.comp, frame.u2.comp
     big_u = frame.u_sharp.comp
@@ -216,111 +251,116 @@ def curvature_formula(
     phi_full = frame.phi.comp
     big_phi = split.Phi
 
-    def memo(kind, reads, compute):
+    def memo(kind, reads, pts, compute):
         owners = (*(getattr(frame, name) for name in reads), geo)
-        return _memo(kind, owners, geo.pts, geo.order, compute)
+        return _memo(kind, owners, pts, geo.order, compute)
+
+    built = {}  # the helpers, each once per call, on the whole batch
+
+    def once(key, compute):
+        return built[key] if key in built else built.setdefault(key, compute())
 
     def helpers(name):
         # beta/alpha of eta also read u, its sharp, and the Phi split
         eta = getattr(frame, name)
-        return memo("eta_helpers", (name, "u", "phi"), lambda: eta_helpers(eta, frame))
+        return once(name, lambda: memo("eta_helpers", (name, "u", "phi"), geo.pts,
+                                       lambda: eta_helpers(eta, frame)))
 
     def rec():
-        return memo("rec", ("u1",), lambda: (
+        return once("rec", lambda: memo("rec", ("u1",), geo.pts, lambda: (
             np.einsum("pj,lk->pljk", u1, eye, order="F")
             + np.einsum("pk,lj->pljk", u1, eye, order="F")
             - np.einsum("pjk,pl->pljk", g, big_u1)
-        ))
+        )))
 
-    def du_phi2():
-        return -np.einsum("pij,plk->plijk", exterior_2du(frame.u), split.phi2)
+    def du_phi2(at):
+        du = once("du", lambda: exterior_2du(frame.u))
+        return -np.einsum("pij,plk->plijk", at(du), at(split.phi2))
 
-    def alpha_phi1():
-        alpha = helpers("u").alpha
-        return _minus_swap(np.einsum("pik,plj->plijk", alpha, split.phi1))
+    def alpha_phi1(at):
+        alpha = at(helpers("u").alpha)
+        return _minus_swap(np.einsum("pik,plj->plijk", alpha, at(split.phi1)))
 
-    def a_phi1():
-        avec = helpers("u").avec
-        return _minus_swap(np.einsum("pik,pjl->plijk", split.Phi1, avec))
+    def a_phi1(at):
+        avec = at(helpers("u").avec)
+        return _minus_swap(np.einsum("pik,pjl->plijk", at(split.Phi1), avec))
 
-    def r0_mu():
-        mu = mu_tensor(frame)
-        mud = mu - mu.swapaxes(2, 3)
-        gmud = np.einsum("pmij,pmk->pijk", mud, g)
-        group = np.einsum("pk,plij->plijk", u, mud)
-        group -= np.einsum("pijk,pl->plijk", gmud, big_u)
+    def r0_mu(at):
+        mu_rows = at(once("mu", lambda: mu_tensor(frame)))
+        mud = mu_rows - mu_rows.swapaxes(2, 3)
+        gmud = np.einsum("pmij,pmk->pijk", mud, at(g))
+        group = np.einsum("pk,plij->plijk", at(u), mud)
+        group -= np.einsum("pijk,pl->plijk", gmud, at(big_u))
         return group
 
-    def nabla_phi2():
-        nab2 = cov_deriv_endo(split.phi2, split.phi2_d1, geo.gamma)
-        return _minus_swap(np.einsum("pi,pjlk->plijk", u, nab2))
+    def nabla_phi2(at):
+        nab2 = once("nab2", lambda: cov_deriv_endo(split.phi2, split.phi2_d1, geo.gamma))
+        return _minus_swap(np.einsum("pi,pjlk->plijk", at(u), at(nab2)))
 
-    def f1_block():
-        du1 = exterior_2du(frame.u1)
-        helpers_u1 = helpers("u1")
+    def f1_block(at):
         # R0(phi X, U1)Z = u1(Z) phi X - g(phi X, Z) U1, with full phi.
-        r0_phix_u1 = np.einsum("pk,pli->plik", u1, phi_full) - np.einsum(
-            "pik,pl->plik", big_phi, big_u1
+        r0_phix_u1 = np.einsum("pk,pli->plik", at(u1), at(phi_full)) - np.einsum(
+            "pik,pl->plik", at(big_phi), at(big_u1)
         )
-        beta_eye = np.einsum("pik,lj->plijk", helpers_u1.beta, eye, order="F")
-        g_bvec = np.einsum("pik,pjl->plijk", g, helpers_u1.bvec)
-        u_r0 = np.einsum("pj,plik->plijk", u, r0_phix_u1)
-        group = np.einsum("pij,lk->plijk", du1, eye, order="F")
+        beta_eye = np.einsum("pik,lj->plijk", at(helpers("u1").beta), eye, order="F")
+        g_bvec = np.einsum("pik,pjl->plijk", at(g), at(helpers("u1").bvec))
+        u_r0 = np.einsum("pj,plik->plijk", at(u), r0_phix_u1)
+        du1 = once("du1", lambda: exterior_2du(frame.u1))
+        group = np.einsum("pij,lk->plijk", at(du1), eye, order="F")
         group -= beta_eye.swapaxes(2, 3)
         group += beta_eye
         group -= g_bvec.swapaxes(2, 3)
         group += g_bvec
         group += u_r0
         group -= u_r0.swapaxes(2, 3)
-        group *= -f1[:, None, None, None, None]
+        group *= -at(f1)[:, None, None, None, None]
         return group
 
-    def f2_block():
-        bvec = helpers("u2").bvec
-        phi_u = np.einsum("pjk,pi,pl->plijk", big_phi, u, big_u2)
-        g_bvec = np.einsum("pik,pjl->plijk", g, bvec)
+    def f2_block(at):
+        phi_u = np.einsum("pjk,pi,pl->plijk", at(big_phi), at(u), at(big_u2))
+        g_bvec = np.einsum("pik,pjl->plijk", at(g), at(helpers("u2").bvec))
         # ((T - T') - S') + S, in the order of the display line
         group = _minus_swap(phi_u)
         group -= g_bvec.swapaxes(2, 3)
         group += g_bvec
-        group *= f2[:, None, None, None, None]
+        group *= at(f2)[:, None, None, None, None]
         return group
 
-    def f1_sq():
-        u1_u1 = np.einsum("pm,pm->p", u1, big_u1)
+    def f1_sq(at):
+        u1_u1 = np.einsum("pm,pm->p", at(u1), at(big_u1))
         r0_x_u1_u1 = np.multiply(u1_u1[:, None, None], eye, order="F") - np.einsum(
-            "pi,pl->pli", u1, big_u1
+            "pi,pl->pli", at(u1), at(big_u1)
         )
-        r0_x_y_u1 = np.einsum("pj,li->plij", u1, eye, order="F") - np.einsum(
-            "pi,lj->plij", u1, eye, order="F"
+        r0_x_y_u1 = np.einsum("pj,li->plij", at(u1), eye, order="F") - np.einsum(
+            "pi,lj->plij", at(u1), eye, order="F"
         )
-        group = _minus_swap(np.einsum("pjk,pli->plijk", g, r0_x_u1_u1))
-        group -= np.einsum("pk,plij->plijk", u1, r0_x_y_u1)
-        group *= -(f1 * f1)[:, None, None, None, None]
+        group = _minus_swap(np.einsum("pjk,pli->plijk", at(g), r0_x_u1_u1))
+        group -= np.einsum("pk,plij->plijk", at(u1), r0_x_y_u1)
+        group *= -(at(f1) * at(f1))[:, None, None, None, None]
         return group
 
-    def f2_sq():
-        group = _minus_swap(np.einsum("pjk,pi,pl->plijk", g, u2, big_u2))
-        group *= (f2 * f2)[:, None, None, None, None]
+    def f2_sq(at):
+        group = _minus_swap(np.einsum("pjk,pi,pl->plijk", at(g), at(u2), at(big_u2)))
+        group *= (at(f2) * at(f2))[:, None, None, None, None]
         return group
 
-    def f1_f2():
+    def f1_f2(at):
         # R0(X, U2)U1 - u2(X) U1, as a [p, l, i] vector-valued slot.
-        u2_u1 = np.einsum("pm,pm->p", u2, big_u1)
+        u2_u1 = np.einsum("pm,pm->p", at(u2), at(big_u1))
         vec_f1f2 = (
             np.multiply(u2_u1[:, None, None], eye, order="F")
-            - np.einsum("pi,pl->pli", u1, big_u2)
-            - np.einsum("pi,pl->pli", u2, big_u1)
+            - np.einsum("pi,pl->pli", at(u1), at(big_u2))
+            - np.einsum("pi,pl->pli", at(u2), at(big_u1))
         )
-        group = _minus_swap(np.einsum("pjk,pli->plijk", g, vec_f1f2))
-        group *= (f1 * f2)[:, None, None, None, None]
+        group = _minus_swap(np.einsum("pjk,pli->plijk", at(g), vec_f1f2))
+        group *= (at(f1) * at(f2))[:, None, None, None, None]
         return group
 
-    def grad_f2():
-        return _minus_swap(np.einsum("pj,pik,pl->plijk", gf2, g, big_u2))
+    def grad_f2(at):
+        return _minus_swap(np.einsum("pj,pik,pl->plijk", at(gf2), at(g), at(big_u2)))
 
     formulas = {
-        "riemann": lambda: geo.riemann.r,
+        "riemann": lambda at: at(geo.riemann.r),
         "du_phi2": du_phi2,
         "alpha_phi1": alpha_phi1,
         "a_phi1": a_phi1,
@@ -331,18 +371,24 @@ def curvature_formula(
         "f1_sq": f1_sq,
         "f2_sq": f2_sq,
         "f1_f2": f1_f2,
-        "xf1_block": lambda: -np.einsum("pi,pljk->plijk", gf1, rec()),
-        "yf1_block": lambda: np.einsum("pj,plik->plijk", gf1, rec()),
+        "xf1_block": lambda at: -np.einsum("pi,pljk->plijk", at(gf1), at(rec())),
+        "yf1_block": lambda at: np.einsum("pj,plik->plijk", at(gf1), at(rec())),
         "grad_f2": grad_f2,
     }
-    with _evaluation_context():  # each helper once, for every group that reads it
-        groups = {name: memo(name, GROUP_READS[name], formulas[name]) for name in GROUPS}
-    if corrupt is not None and corrupt.name in groups:
-        groups[corrupt.name] = corrupt.factor * groups[corrupt.name]
-    total = np.zeros_like(groups["riemann"])  # sum()'s order and bits, one buffer
-    for group in groups.values():
-        total += group
-    return total, groups
+
+    def group(name, at=_whole, pts=geo.pts):
+        value = memo(name, GROUP_READS[name], pts, lambda: formulas[name](at))
+        if corrupt is not None and corrupt.name == name:
+            value = corrupt.factor * value
+        return value
+
+    total = np.zeros_like(geo.riemann.r)  # sum()'s order and bits, one buffer
+    for at in _blocks(*geo.pts.shape):
+        pts, rows = at(geo.pts), at(total)
+        for name in GROUPS:
+            rows += group(name, at, pts)
+    built.clear()  # a caller that keeps ``groups`` keeps no helper it has not read
+    return total, _Groups(group)
 
 
 def needed_order(spec: ConnectionSpec) -> int:
@@ -385,11 +431,6 @@ def _jein(spec: str, *operands, order: str = "K") -> Jet:
     return Jet(np.einsum(spec, *vals, order=order), d1)
 
 
-def _rows(jet: Jet, block: slice) -> Jet:
-    """The points ``block`` of ``jet``, a view of each level."""
-    return Jet(*(level[block] for level in jet.levels))
-
-
 def curvature_direct(
     chart: Chart,
     metric_field,
@@ -413,8 +454,9 @@ def curvature_direct(
     The raw jets are evaluated once, on the whole batch, since the jet
     evaluator's matmul may round differently at another batch size, and in
     one evaluation context (the caller's, if one is open), so they share
-    monomial tables.  Everything after them runs block by block,
-    ``_ORACLE_BLOCK_BYTES`` of curvature at a time, so its temporaries stay
+    monomial tables.  Everything after them runs block by block
+    (``_blocks``, the loop ``curvature_formula`` runs too, on tensors of its
+    own), ``_BLOCK_BYTES`` of curvature at a time, so its temporaries stay
     cache-sized (README, "Memory layout"), and is memoised per block, keyed
     by the block's points, in the caller's context only: a context opened
     around the block loop would hold every block's intermediates until the
@@ -487,16 +529,11 @@ def curvature_direct(
         return np.einsum("piljk->plijk", gt.d1) + np.einsum("plim,pmjk->plijk", gt.comp, gt.comp)
 
     jets = (g, f1, f2, u, u1, u2, phi)
-    m, n = pts.shape
-    step = max(1, _ORACLE_BLOCK_BYTES // (8 * n**4))
-    r = batch_zeros(m, (n,) * 4)
-    for start in range(0, m, step):
-        block = slice(start, start + step)
-        if m <= step:  # one block: the batch as it is, no views
-            half = block_half(pts, *jets)
-        else:
-            half = block_half(pts[block], *(_rows(jet, block) for jet in jets))
-        np.subtract(half, half.swapaxes(2, 3), out=r[block])
+    r = batch_zeros(pts.shape[0], (chart.n,) * 4)
+    for at in _blocks(*pts.shape):
+        rows = jets if at is _whole else (Jet(*map(at, jet.levels)) for jet in jets)
+        half = block_half(at(pts), *rows)
+        np.subtract(half, half.swapaxes(2, 3), out=at(r))
     return r
 
 
@@ -518,10 +555,11 @@ def compare_curvature(
 ) -> list[CurvatureReport]:
     """Formula vs direct oracle at each point; corruption (if any) is routed
     to whichever path owns the named term."""
-    formula, groups, direct = _run_both(chart, metric_field, spec, pts, corrupt)
+    with _evaluation_context():  # each group is read where the total was built
+        formula, groups, direct = _run_both(chart, metric_field, spec, pts, corrupt)
+        contribs = {name: point_max_abs(arr) for name, arr in groups.items()}
     pts = chart.require_inside(pts)
     residuals = point_residuals(formula, direct)
-    contribs = {name: point_max_abs(arr) for name, arr in groups.items()}
     return [
         CurvatureReport(
             point=pts[p],

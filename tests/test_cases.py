@@ -296,11 +296,12 @@ def test_each_case_passes_on_the_round_sphere(sphere, cid):
     assert res.passed, res.residuals
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-10, 2.0])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1e-10, 2.0, True, "1e-9"])
 @pytest.mark.parametrize("argument", ["tolerance", "curvature_tolerance"])
 def test_verify_case_refuses_a_tolerance_that_cannot_gate(bumpy2, monkeypatch, argument, bad):
     # an infinite tolerance would pass a wrong reduced law; NaN or one at or
-    # below zero would fail every check without saying why
+    # below zero would fail every check without saying why; True would gate
+    # at 1 and be reported as true, and a string is no number
     reduced_gamma = cases._reduced_gamma
     monkeypatch.setattr(cases, "_reduced_gamma", lambda p, f: 1.5 * reduced_gamma(p, f))
     rng = np.random.default_rng(20)

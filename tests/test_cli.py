@@ -327,6 +327,7 @@ def test_case_config_verify_fails_a_wrong_reduced_law_by_name(
     failed = [c["check"] for c in report["checks"] if not c["pass"]]
     assert set(failing) <= set(failed)
     assert not set(failed) & set(GENERAL_CHECKS)
+    assert "diagnosis" not in report  # diagnose explains only the curvature comparison
 
 
 def test_verify_random_sweep_from_sampler(tmp_path, capsys):

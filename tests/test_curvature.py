@@ -298,7 +298,7 @@ def test_oracle_blocks_keep_every_bit(monkeypatch, name):
     for corrupt in corruptions:
         default = curvature_direct(man.chart, man.metric, spec, pts, corrupt=corrupt)
         for block_bytes in (1, 7 * 8 * n**4, 2**62):
-            monkeypatch.setattr(curvature, "_ORACLE_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(curvature, "_BLOCK_BYTES", block_bytes)
             blocked = curvature_direct(man.chart, man.metric, spec, pts, corrupt=corrupt)
             assert same_bits(blocked, default), (corrupt, block_bytes)
         monkeypatch.undo()
@@ -326,6 +326,50 @@ def test_the_oracle_works_in_blocks_on_jets_of_the_whole_batch(monkeypatch):
     assert batches == [2000] * 7
     # 15.4x in one whole-batch block; the jets of the whole batch are most
     # of what is left
+    assert peak < 6 * r.nbytes, peak / r.nbytes
+
+
+@pytest.mark.parametrize("name", ["bumpy3", "bumpy4", "sphere2", "half_plane", "ricci", "case17"])
+def test_formula_blocks_keep_every_bit(monkeypatch, name):
+    # As the oracle's: one point per block, 7 and one block must agree bit
+    # for bit with the default.  A read group is the whole batch's, each
+    # term its own einsum, and the groups sum to the total in GROUPS order.
+    man, spec, pts = oracle_input(name)
+    n = man.chart.n
+    frame = evaluate_spec(man.chart, man.metric, spec, pts, order=needed_order(spec))
+    expected = {"riemann": frame.geo.riemann.r} | display_line_groups(frame)
+    corruptions = [None]
+    if name == "bumpy3":
+        corruptions += [Corruption(term, 2.0) for term in GROUPS]
+    for corrupt in corruptions:
+        default, groups = curvature_formula(frame, corrupt=corrupt)
+        summed = np.zeros_like(default)
+        for group in GROUPS:
+            want = expected[group]
+            if corrupt is not None and corrupt.name == group:
+                want = corrupt.factor * want
+            assert same_bits(groups[group], want), (corrupt, group)
+            summed += groups[group]
+        assert same_bits(summed, default), corrupt
+        for block_bytes in (1, 7 * 8 * n**4, 2**62):
+            monkeypatch.setattr(curvature, "_BLOCK_BYTES", block_bytes)
+            blocked, _ = curvature_formula(frame, corrupt=corrupt)
+            assert same_bits(blocked, default), (corrupt, block_bytes)
+        monkeypatch.undo()
+
+
+def test_the_formula_sums_its_groups_block_by_block():
+    man, spec, _ = oracle_input("bumpy4")
+    frame = evaluate_spec(man.chart, man.metric, spec, man.chart.sample(2000, 48), order=2)
+    curvature_formula(frame)
+    tracemalloc.start()
+    try:
+        r, _ = curvature_formula(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 15.0x with the 14 groups built on the whole batch; the total and the
+    # helpers of rank at most 4 are most of what is left
     assert peak < 6 * r.nbytes, peak / r.nbytes
 
 

@@ -100,7 +100,7 @@ def test_inside_a_context_a_copy_of_the_batch_reuses_the_monomial_table(monkeypa
 def test_outside_a_context_the_oracle_runs_its_blocks_with_no_memo(monkeypatch, bumpy3):
     # Only the oracle's jet step opens a context.  One around its block loop
     # would hold every block's intermediates until the call returned.
-    monkeypatch.setattr(curvature, "_ORACLE_BLOCK_BYTES", 4 * 8 * 3**4)  # 3 blocks
+    monkeypatch.setattr(curvature, "_BLOCK_BYTES", 4 * 8 * 3**4)  # 3 blocks
     memos, memo = [], fields._memo
 
     def recording(*args):
@@ -114,16 +114,40 @@ def test_outside_a_context_the_oracle_runs_its_blocks_with_no_memo(monkeypatch, 
     assert len(memos) == 3 * 12 and all(opened is None for opened in memos)
 
 
+def test_outside_a_context_the_formula_runs_its_blocks_with_no_memo(monkeypatch, bumpy3):
+    # As the oracle: no context around the block loop, which would hold
+    # every block's groups until the call returned.
+    monkeypatch.setattr(curvature, "_BLOCK_BYTES", 4 * 8 * 3**4)  # 3 blocks
+    spec = random_spec(bumpy3.chart, 35)
+    frame = evaluate_spec(bumpy3.chart, bumpy3.metric, spec, bumpy3.chart.sample(10, 36), order=2)
+    memos, memo = [], fields._memo
+
+    def recording(kind, *args):
+        memos.append((kind, fields._MEMO.get()))
+        return memo(kind, *args)
+
+    monkeypatch.setattr(curvature, "_memo", recording)
+    curvature_formula(frame)
+    kinds = [kind for kind, _ in memos]
+    # 14 groups per block; the helpers once, on the whole batch
+    assert kinds.count("eta_helpers") == 3 and kinds.count("rec") == 1
+    assert len(kinds) == 3 * 14 + 4 and all(opened is None for _, opened in memos)
+
+
 @pytest.mark.parametrize("entry", [
     "evaluate_spec", "curvature_formula", "curvature_direct", "jets", "evaluate_jets",
+    "curvature_formula_blocks",
 ])
-def test_no_memo_is_left_open_when_an_entry_point_returns(bumpy2, entry):
+def test_no_memo_is_left_open_when_an_entry_point_returns(monkeypatch, bumpy2, entry):
     spec = random_spec(bumpy2.chart, 37)
     pts = bumpy2.chart.sample(5, 38)
     frame = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts, order=2)
+    if entry == "curvature_formula_blocks":  # 5 points in 3 blocks
+        monkeypatch.setattr(curvature, "_BLOCK_BYTES", 2 * 8 * 2**4)
     calls = {
         "evaluate_spec": lambda: evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts),
         "curvature_formula": lambda: curvature_formula(frame),
+        "curvature_formula_blocks": lambda: curvature_formula(frame),
         "curvature_direct": lambda: curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts),
         "jets": lambda: spec.jets(pts),
         "evaluate_jets": lambda: evaluate_jets(
@@ -270,8 +294,9 @@ def test_one_context_gives_the_oracle_nothing_but_raw_jets_from_the_formula(bump
 def keyed_values(monkeypatch, manifold, spec, pts) -> dict:
     """Every value one formula run and one oracle run key through the memo,
     outside any context, by (kind, the bindings named among its owners).
-    Calls go on to ``fields._memo``: the formula's groups share the helpers
-    in a context of its own, so each value is computed, and recorded, once."""
+    Calls go on to ``fields._memo``: the formula builds each helper once per
+    call for every group that reads it, so each value is computed, and
+    recorded, once."""
     frame = evaluate_spec(manifold.chart, manifold.metric, spec, pts, order=needed_order(spec))
     values, memo = {}, fields._memo
 
@@ -384,9 +409,44 @@ def test_a_failing_verify_computes_h_once(monkeypatch):
     assert "h" in vars(frames[0]) and not any("h" in vars(frame) for frame in frames[1:])
 
 
+def test_the_formula_keys_its_groups_by_block(monkeypatch, bumpy3):
+    # blocks of 4 points: a batch of 10 spans 3, the last one short
+    monkeypatch.setattr(curvature, "_BLOCK_BYTES", 4 * 8 * 3**4)
+    blocks = 3
+    spec = random_spec(bumpy3.chart, 33)
+    pts = bumpy3.chart.sample(10, 34)
+
+    def formula(spec):
+        return curvature_formula(evaluate_spec(bumpy3.chart, bumpy3.metric, spec, pts, order=2))
+
+    with _evaluation_context():
+        first, _ = formula(spec)
+        keys = memo_keys()
+        # a key ends in (batch token, order): each block is its own batch,
+        # and the helpers are the whole batch's
+        assert len({key[-2] for key in keys if key[0] in GROUPS}) == blocks
+        assert len({key[-2] for key in keys if key[0] in {"eta_helpers", "rec"}}) == 1
+        assert np.array_equal(formula(spec)[0], first)
+        assert memo_keys() == keys  # a repeated call hits in every block
+        added = []
+        for name in BINDING_NAMES:
+            before = memo_keys()
+            formula(spec.with_zeroed(name))
+            new = memo_keys() - before
+            added.append((sum(key[0] in GROUPS for key in new),
+                          sum(key[0] in {"eta_helpers", "rec"} for key in new)))
+    # the groups that read a zeroed binding, once per block, and the helpers
+    # that read it: beta/alpha of u, u1 and u2 read u and phi, rec reads u1.
+    # Zeroing u2 binds the zero one-form the u1 step bound, so the beta/alpha
+    # of that form are a hit.
+    groups = [sum(b in reads for reads in GROUP_READS.values()) for b in BINDING_NAMES]
+    assert added == [(blocks * count, helpers)
+                     for count, helpers in zip(groups, (3, 2, 0, 0, 0, 3))]
+
+
 def test_the_oracle_keys_its_entries_by_block(monkeypatch, bumpy3):
     # blocks of 4 points: a batch of 10 spans 3, the last one short
-    monkeypatch.setattr(curvature, "_ORACLE_BLOCK_BYTES", 4 * 8 * 3**4)
+    monkeypatch.setattr(curvature, "_BLOCK_BYTES", 4 * 8 * 3**4)
     blocks = 3
     spec = random_spec(bumpy3.chart, 33)
     pts = bumpy3.chart.sample(10, 34)
