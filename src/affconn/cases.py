@@ -41,7 +41,7 @@ from .connection import (
     norm_residual,
     split_phi,
 )
-from .curvature import curvature_direct, curvature_formula, exterior_2du
+from .curvature import curvatures, exterior_2du
 from .errors import (
     BadParams,
     CaseUnknown,
@@ -632,11 +632,11 @@ def _stated_metricity(preset: CasePreset, frame) -> np.ndarray:
     raise CaseUnknown(f"no stated metricity law for case {pid!r}")
 
 
-def case_rows(preset: CasePreset, frame, curvatures) -> list:
+def case_rows(preset: CasePreset, frame, run) -> list:
     """The preset's own laws on ``frame`` as (check, residual, tolerance key)
     rows, as ``preset.checks`` lists them; a key of None means reported, not
-    gated.  ``curvatures()`` gives R~ by the formula and by the direct oracle:
-    only case 17's reduced curvature law calls it."""
+    gated.  ``run()`` gives ``curvatures(frame)``, R~ by the formula and by
+    the direct oracle: only case 17's reduced curvature law calls it."""
     stated = "metricity" if preset.prose_deviation is None else None
     rows = [
         ("reduced_connection",
@@ -660,7 +660,7 @@ def case_rows(preset: CasePreset, frame, curvatures) -> list:
             - np.einsum("pjk,li->plijk", s, eye, order="F")
             + np.einsum("pij,lk->plijk", s_skew, eye, order="F")
         )
-        r_formula, r_direct = curvatures()
+        r_formula, _, r_direct = run()
         rows += [
             ("curvature_reduced_vs_formula", norm_residual(reduced, r_formula), "torsion"),
             ("curvature_reduced_vs_direct", norm_residual(reduced, r_direct), "curvature"),
@@ -709,13 +709,8 @@ def verify_case(
     keyed = {"curvature": curvature_tolerance}  # every other key gates at tolerance
     with _evaluation_context():
         frame = evaluate_spec(manifold.chart, manifold.metric, spec, pts, order=order)
-
-        def curvatures():
-            return curvature_formula(frame)[0], curvature_direct(
-                manifold.chart, manifold.metric, spec, frame.geo.pts
-            )
-
-        for name, res, key in frame.law_rows() + case_rows(preset, frame, curvatures):
+        rows = frame.law_rows() + case_rows(preset, frame, lambda: curvatures(frame))
+        for name, res, key in rows:
             if key is None:
                 result.reported[name] = res
             else:

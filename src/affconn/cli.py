@@ -27,7 +27,9 @@ Config schema::
 A polynomial is a bare number (a constant) or ``{"terms": [{"c": coeff,
 "e": [exponents]}]}``.  The sampler seed is mandatory.  Raw-spec fields
 default to zero when omitted.  A tolerance, in the config or from
-``--tolerance``, is above 0 and below 2: a residual never exceeds 2.
+``--tolerance``, is above 0 and below 2: a residual never exceeds 2.  A
+batch of m points at dimension n holds m n^4 <= 16,000,000 curvature
+entries: 1,000,000 points at n = 2, 3906 at n = 8.
 """
 
 from __future__ import annotations
@@ -50,13 +52,7 @@ from .connection import (
     transpose_torsion_closed,
     transpose_torsion_from_metric,
 )
-from .curvature import (
-    CORRUPTIBLE_TERMS,
-    curvature_direct,
-    curvature_formula,
-    diagnose,
-    needed_order,
-)
+from .curvature import CORRUPTIBLE_TERMS, curvatures, diagnose, needed_order
 from .errors import (
     AffconnError,
     BadParams,
@@ -92,8 +88,10 @@ _CONVENTIONS = {
     "residual": "max over points p of max|a_p - b_p| / max(1, max|a_p|, max|b_p|)",
 }
 
-# Larger sampler counts are refused before anything is allocated.
-_MAX_POINTS = 1_000_000
+# A batch of m points at dimension n makes curvature tensors of m * n**4
+# entries each, so that count caps it: 1,000,000 points at n = 2, 3906 at
+# n = 8.  A sampler is refused before it samples.
+_MAX_CURVATURE_ENTRIES = 16_000_000
 
 _DEFAULT_TOLERANCES = {
     "torsion": 1e-10,
@@ -262,18 +260,22 @@ def _parse_connection(obj, manifold: Manifold):
 
 
 def _parse_points(obj, chart: Chart) -> np.ndarray:
+    limit = _MAX_CURVATURE_ENTRIES // chart.n**4
+    at_n = f"at n = {chart.n} (m n^4 <= {_MAX_CURVATURE_ENTRIES} curvature entries)"
     if isinstance(obj, dict):
         if set(obj) != {"count", "seed"}:
             raise SchemaError("points: sampler needs exactly 'count' and 'seed'")
         count = _int(obj["count"], "points.count")
         seed = _int(obj["seed"], "points.seed")
-        if not 1 <= count <= _MAX_POINTS:
-            raise SchemaError(f"points.count: expected an integer from 1 to {_MAX_POINTS}")
+        if not 1 <= count <= limit:
+            raise SchemaError(f"points.count: expected an integer from 1 to {limit} {at_n}")
         if seed < 0:
             raise SchemaError("points.seed: expected a non-negative integer")
         return _at("points", lambda: chart.sample(count, seed))
     if not isinstance(obj, list) or not obj:
         raise SchemaError("points: expected a non-empty list or a {count, seed} sampler")
+    if len(obj) > limit:
+        raise SchemaError(f"points: expected at most {limit} points {at_n}")
     rows = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != chart.n:
@@ -454,7 +456,7 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
                 f"--corrupt-term {corrupt_term!r} is not one of "
                 f"{', '.join(CORRUPTIBLE_TERMS)}"
             )
-        corruption = Corruption(corrupt_term, 2.0)
+        corruption = Corruption(corrupt_term)
 
     # One context for the whole command: diagnose reuses its first evaluation.
     with _evaluation_context():
@@ -462,7 +464,7 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
         spec, pts, tols = config.spec, config.points, config.tolerances
         # A numeric blow-up fails its checks by name below, not through warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            # Each consumer applies the corruption only if it owns the named term.
+            # H, the formula and the oracle each double the term if they own it.
             frame = evaluate_spec(
                 chart, metric, spec, pts, order=needed_order(spec), corrupt=corruption
             )
@@ -473,8 +475,8 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
             tp_closed = transpose_torsion_closed(
                 frame.u.comp, frame.split, frame.u_sharp.comp
             )
-            r_formula, _ = curvature_formula(frame, corrupt=corruption)
-            r_direct = curvature_direct(chart, metric, spec, pts, corrupt=corruption)
+            run = curvatures(frame)
+            r_formula, _, r_direct = run
             # np.max, unlike max(), keeps a NaN residual
             antisym = float(np.max([norm_residual(r_formula, -r_formula.swapaxes(2, 3)),
                                     norm_residual(r_direct, -r_direct.swapaxes(2, 3))]))
@@ -486,7 +488,7 @@ def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int,
             ]
             if config.case_id is not None:  # and the preset's own laws
                 preset = get_case(config.case_id)
-                rows += case_rows(preset, frame, lambda: (r_formula, r_direct))
+                rows += case_rows(preset, frame, lambda: run)
 
         # A row without a tolerance key is reported, not gated.  A non-finite
         # residual has no number to report: a gated one fails and is named.
@@ -543,9 +545,8 @@ def cmd_tensors(config: RunConfig) -> tuple[int, dict]:
             "gamma_tilde": frame.gamma_tilde,
             "torsion": frame.torsion,
             "nabla_g": frame.nabla_g,
-            "r_formula": curvature_formula(frame)[0],
-            "r_direct": curvature_direct(chart, metric, spec, pts),
         }
+        tensors["r_formula"], _, tensors["r_direct"] = curvatures(frame)
     non_finite = [name for name, arr in tensors.items() if not np.all(np.isfinite(arr))]
     per_point = [
         {"point": pts[p]}

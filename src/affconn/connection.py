@@ -71,10 +71,9 @@ H_TERMS = ("h_u_phi1", "h_u_phi2", "h_phi1_u", "h_f1", "h_f2")
 
 @dataclass(frozen=True)
 class Corruption:
-    """Scale one named term by ``factor`` (test hook; 2.0 doubles it)."""
+    """Double one named term (test hook): an H addend or a curvature formula group."""
 
     name: str
-    factor: float = 2.0
 
 
 @dataclass(frozen=True)
@@ -298,7 +297,7 @@ def deformation_h(
     - f1 {u1_i d^k_j + u1_j d^k_i - g_ij U1^k} - f2 g_ij U2^k."""
     terms = _h_terms(g, u, u1, u2, f1, f2, split, U, U1, U2)
     if corrupt is not None and corrupt.name in terms:
-        terms[corrupt.name] = corrupt.factor * terms[corrupt.name]
+        terms[corrupt.name] = 2.0 * terms[corrupt.name]
     h = np.zeros_like(terms["h_u_phi1"])  # sum()'s order and bits, one buffer
     for term in terms.values():
         h += term
@@ -359,14 +358,17 @@ def resolve_endo_jet(phi_field, geo: PointGeometry) -> Jet:
 
 @dataclass
 class PointFrame:
-    """Everything Theorem-1 checks need at one batch of points.
+    """One run of ``spec`` at one batch of points, with the fault ``corrupt``
+    (or None): everything Theorem-1 checks need there.
 
     H, Gamma~, torsion and nabla~ g are computed on first read, with ``corrupt``
     applied to H: the curvature formula reads none, so a frame built only for
     it never computes them.  Each frame computes its own, so they are writable.
+    ``curvature.curvatures(frame)`` runs both curvature paths with ``corrupt``.
     """
 
     geo: PointGeometry
+    spec: ConnectionSpec
     f1: object
     f2: object
     u: Jet
@@ -456,6 +458,7 @@ def evaluate_spec(
                   lambda: split_phi(phi, geo.metric, geo.inv))
     return PointFrame(
         geo=geo,
+        spec=spec,
         f1=f1,
         f2=f2,
         u=u,

@@ -5,8 +5,9 @@ helper tensors alpha/A, beta/B, mu and R0; its fourteen addend groups (one
 per display line of the source formula) are named and individually
 toggleable.  ``curvature_direct`` is the oracle: it rebuilds Gamma~ = Gamma
 + H from raw field jets and differentiates it by a mechanical product rule,
-so the two paths share no helper tensor and no derivative.  ``diagnose`` turns
-a mismatch into an attribution table plus a minimal failing configuration.
+so the two paths share no helper tensor and no derivative; ``curvatures``
+runs both on one frame.  ``diagnose`` turns a mismatch into an attribution
+table plus a minimal failing configuration.
 
 Curvature layout: ``r[p, l, i, j, k]`` is the d_l component of R~(d_i, d_j)
 d_k.  The exterior derivative convention is 2du(d_i, d_j) = d_i u_j - d_j u_i.
@@ -26,6 +27,7 @@ from .connection import (
     H_TERMS,
     ConnectionSpec,
     PointFrame,
+    _valid_tolerance,
     evaluate_spec,
     max_abs,
     norm_residual,
@@ -56,6 +58,7 @@ __all__ = [
     "exterior_2du",
     "curvature_formula",
     "curvature_direct",
+    "curvatures",
     "needed_order",
     "compare_curvature",
     "diagnose",
@@ -208,15 +211,13 @@ def _minus_swap(t: np.ndarray) -> np.ndarray:
     return t - t.swapaxes(2, 3)
 
 
-def curvature_formula(
-    frame: PointFrame, corrupt: Corruption | None = None
-) -> tuple[np.ndarray, Mapping]:
+def curvature_formula(frame: PointFrame) -> tuple[np.ndarray, Mapping]:
     """Assemble the closed-form R~ from its 14 named groups.
 
     Returns (total, groups).  ``groups`` is a read-only mapping over
     ``GROUPS``; reading a group builds it on the whole batch, an
-    (m, n, n, n, n) array in the [p, l, i, j, k] layout.  ``corrupt``
-    scales a copy of one named group.
+    (m, n, n, n, n) array in the [p, l, i, j, k] layout.  A copy of the
+    group ``frame.corrupt`` names, if any, is doubled, in both.
 
     ``total`` is summed in ``GROUPS`` order into a fresh buffer, block by
     block of points (``_blocks``), so a call holds one block's groups at a
@@ -378,8 +379,8 @@ def curvature_formula(
 
     def group(name, at=_whole, pts=geo.pts):
         value = memo(name, GROUP_READS[name], pts, lambda: formulas[name](at))
-        if corrupt is not None and corrupt.name == name:
-            value = corrupt.factor * value
+        if frame.corrupt is not None and frame.corrupt.name == name:
+            value = 2.0 * value
         return value
 
     total = np.zeros_like(geo.riemann.r)  # sum()'s order and bits, one buffer
@@ -448,8 +449,8 @@ def curvature_direct(
     memoised under the oracle's own keys (each addend by the bindings it
     reads), and only the raw field jets, with the monomial tables they
     are computed from, are common to both paths.
-    ``corrupt`` scales a copy of one addend; Gamma~ is summed in a fixed
-    order into fresh buffers, so no memoised value is written.
+    ``corrupt`` doubles a copy of the H addend it names, if any; Gamma~ is
+    summed in a fixed order into fresh buffers, so no memoised value is written.
 
     The raw jets are evaluated once, on the whole batch, since the jet
     evaluator's matmul may round differently at another batch size, and in
@@ -520,7 +521,7 @@ def curvature_direct(
         }
         h = {name: oracle_memo(name, *addend) for name, addend in addends.items()}
         if corrupt is not None and corrupt.name in h:
-            h[corrupt.name] = corrupt.factor * h[corrupt.name]
+            h[corrupt.name] = 2.0 * h[corrupt.name]
         gt = gamma + h["h_u_phi1"]  # one buffer per level, summed left to right
         comp, d1 = gt.comp, gt.d1
         for name in ("h_u_phi2", "h_phi1_u", "h_f1", "h_f2"):
@@ -535,6 +536,16 @@ def curvature_direct(
         half = block_half(at(pts), *rows)
         np.subtract(half, half.swapaxes(2, 3), out=at(r))
     return r
+
+
+def curvatures(frame: PointFrame) -> tuple[np.ndarray, Mapping, np.ndarray]:
+    """(total, groups, direct): R~ by ``curvature_formula(frame)`` and by
+    ``curvature_direct`` on the frame's spec and points, each path doubling
+    the term of ``frame.corrupt`` it owns."""
+    total, groups = curvature_formula(frame)
+    geo = frame.geo
+    return total, groups, curvature_direct(
+        geo.chart, geo.metric_field, frame.spec, geo.pts, corrupt=frame.corrupt)
 
 
 @dataclass(frozen=True)
@@ -553,8 +564,8 @@ def compare_curvature(
     pts,
     corrupt: Corruption | None = None,
 ) -> list[CurvatureReport]:
-    """Formula vs direct oracle at each point; corruption (if any) is routed
-    to whichever path owns the named term."""
+    """Formula vs direct oracle at each point; ``corrupt`` (if any) doubles
+    the named term in whichever path owns it."""
     with _evaluation_context():  # each group is read where the total was built
         formula, groups, direct = _run_both(chart, metric_field, spec, pts, corrupt)
         contribs = {name: point_max_abs(arr) for name, arr in groups.items()}
@@ -572,27 +583,13 @@ def compare_curvature(
     ]
 
 
-def _route(corrupt: Corruption | None):
-    """Split a corruption into (H-path, formula-path) parts."""
-    if corrupt is None:
-        return None, None
-    if corrupt.name in H_TERMS:
-        return corrupt, None
-    if corrupt.name in GROUPS:
-        return None, corrupt
-    raise BadParams(
-        f"unknown corruptible term {corrupt.name!r}; choose one of {CORRUPTIBLE_TERMS}"
-    )
-
-
 def _run_both(chart, metric_field, spec, pts, corrupt):
-    h_corrupt, g_corrupt = _route(corrupt)
-    frame = evaluate_spec(
-        chart, metric_field, spec, pts, order=needed_order(spec), corrupt=None
-    )
-    formula, groups = curvature_formula(frame, corrupt=g_corrupt)
-    direct = curvature_direct(chart, metric_field, spec, pts, corrupt=h_corrupt)
-    return formula, groups, direct
+    if corrupt is not None and corrupt.name not in CORRUPTIBLE_TERMS:
+        raise BadParams(
+            f"unknown corruptible term {corrupt.name!r}; choose one of {CORRUPTIBLE_TERMS}"
+        )
+    return curvatures(evaluate_spec(
+        chart, metric_field, spec, pts, order=needed_order(spec), corrupt=corrupt))
 
 
 def _global_residual(chart, metric_field, spec, pts, corrupt) -> float:
@@ -620,24 +617,25 @@ def diagnose(
     of its runs share one evaluation context (see ``fields._memo``): the
     clean re-runs and H-term bumps reuse every group and H addend of the
     first run, and a spec with one binding zeroed recomputes only the
-    groups and addends that read it (``GROUP_READS``).
+    groups and addends that read it (``GROUP_READS``).  A ``tolerance`` that
+    cannot gate a residual (see ``connection._valid_tolerance``) raises
+    ``BadParams``.
     """
+    _valid_tolerance(tolerance, "tolerance")
     with _evaluation_context():
         formula, _, direct = _run_both(chart, metric_field, spec, pts, corrupt)
         diff = formula - direct
         residual = norm_residual(formula, direct)
         ok = residual <= tolerance
 
-        frame = evaluate_spec(chart, metric_field, spec, pts, order=needed_order(spec))
-        _, clean_groups = curvature_formula(frame)
-        clean_direct = curvature_direct(chart, metric_field, spec, pts)
+        _, clean_groups, clean_direct = _run_both(chart, metric_field, spec, pts, None)
 
         candidates: dict[str, tuple[str, np.ndarray]] = {}
         for name in GROUPS:
             candidates[name] = ("formula_group", clean_groups[name])
         for name in H_TERMS:
             bumped = curvature_direct(
-                chart, metric_field, spec, pts, corrupt=Corruption(name, 2.0)
+                chart, metric_field, spec, pts, corrupt=Corruption(name)
             )
             candidates[name] = ("h_term", bumped - clean_direct)
 

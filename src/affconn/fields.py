@@ -24,8 +24,8 @@ key through it, per (owners, point batch, order), until the outermost
 context exits.  A command opens one context for its whole run.  Outside
 one, ``ConnectionSpec.jets``, ``evaluate_jets``, ``evaluate_spec`` and the
 oracle's jet step each open one over their jets, so those share monomial
-tables, and ``curvature_formula`` one over its groups, so those share
-helpers; all of it is dropped when the call returns.
+tables; all of it is dropped when the call returns.  ``curvature_formula``
+opens none: it builds each of its helpers once per call itself.
 
 Array layout conventions (shared by the whole package):
 

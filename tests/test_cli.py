@@ -672,6 +672,30 @@ def test_config_errors_found_by_fuzzing_name_their_path(tmp_path, capsys, patch,
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("points, where", [
+    ({"count": 3907, "seed": 1}, "points.count"),
+    ([[0.0] * 8] * 3907, "points"),
+])
+def test_a_batch_is_capped_by_its_curvature_entries(points, where):
+    # 3907 * 8**4 entries, one point over the cap; each rank-5 array would
+    # take 128 MB, and a million sampled points 32.8 GB.  Parsed only: a
+    # tree without the cap would go on to evaluate it.
+    payload = {"manifold": {"preset": "euclidean", "n": 8}, "connection": {"raw": {}},
+               "points": points}
+    with pytest.raises(SchemaError) as refused:
+        parse_config(json.dumps(payload))
+    message = str(refused.value)
+    assert message.startswith(f"{where}: expected ") and "3906 " in message, message
+    assert "n = 8" in message
+
+
+@pytest.mark.parametrize("n, count", [(2, 1_000_000), (8, 3906)])
+def test_a_batch_at_the_cap_is_accepted(n, count):
+    payload = {"manifold": {"preset": "euclidean", "n": n}, "connection": {"raw": {}},
+               "points": {"count": count, "seed": 1}}
+    assert parse_config(json.dumps(payload)).points.shape == (count, n)
+
+
 WIDE_CHART = {"chart": {"lower": [-1e308, -1e308], "upper": [1e308, 1e308]},
               "metric": [[1.0, 0], [0, 1.0]]}
 

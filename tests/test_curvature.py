@@ -20,6 +20,7 @@ from affconn import (
     compare_curvature,
     curvature_direct,
     curvature_formula,
+    curvatures,
     diagnose,
     evaluate_spec,
     max_abs,
@@ -294,7 +295,7 @@ def test_oracle_blocks_keep_every_bit(monkeypatch, name):
     n = man.chart.n
     corruptions = [None]
     if name == "bumpy3":
-        corruptions += [Corruption(term, 2.0) for term in H_TERMS]
+        corruptions += [Corruption(term) for term in H_TERMS]
     for corrupt in corruptions:
         default = curvature_direct(man.chart, man.metric, spec, pts, corrupt=corrupt)
         for block_bytes in (1, 7 * 8 * n**4, 2**62):
@@ -336,24 +337,26 @@ def test_formula_blocks_keep_every_bit(monkeypatch, name):
     # term its own einsum, and the groups sum to the total in GROUPS order.
     man, spec, pts = oracle_input(name)
     n = man.chart.n
-    frame = evaluate_spec(man.chart, man.metric, spec, pts, order=needed_order(spec))
+    order = needed_order(spec)
+    frame = evaluate_spec(man.chart, man.metric, spec, pts, order=order)
     expected = {"riemann": frame.geo.riemann.r} | display_line_groups(frame)
     corruptions = [None]
     if name == "bumpy3":
-        corruptions += [Corruption(term, 2.0) for term in GROUPS]
+        corruptions += [Corruption(term) for term in GROUPS]
     for corrupt in corruptions:
-        default, groups = curvature_formula(frame, corrupt=corrupt)
+        frame = evaluate_spec(man.chart, man.metric, spec, pts, order=order, corrupt=corrupt)
+        default, groups = curvature_formula(frame)
         summed = np.zeros_like(default)
         for group in GROUPS:
             want = expected[group]
             if corrupt is not None and corrupt.name == group:
-                want = corrupt.factor * want
+                want = 2.0 * want
             assert same_bits(groups[group], want), (corrupt, group)
             summed += groups[group]
         assert same_bits(summed, default), corrupt
         for block_bytes in (1, 7 * 8 * n**4, 2**62):
             monkeypatch.setattr(curvature, "_BLOCK_BYTES", block_bytes)
-            blocked, _ = curvature_formula(frame, corrupt=corrupt)
+            blocked, _ = curvature_formula(frame)
             assert same_bits(blocked, default), (corrupt, block_bytes)
         monkeypatch.undo()
 
@@ -373,6 +376,21 @@ def test_the_formula_sums_its_groups_block_by_block():
     assert peak < 6 * r.nbytes, peak / r.nbytes
 
 
+def test_a_caller_keeping_groups_holds_no_helper():
+    # compare_op keeps ``groups`` while the oracle runs: the mapping must not
+    # keep the whole-batch helpers alive (2.19x if it held them)
+    man, spec, _ = oracle_input("bumpy4")
+    frame = evaluate_spec(man.chart, man.metric, spec, man.chart.sample(2000, 48), order=2)
+    curvature_formula(frame)  # the geometry's own lazy data, read once
+    tracemalloc.start()
+    try:
+        total, groups = curvature_formula(frame)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.25 * total.nbytes, held / total.nbytes
+
+
 def test_compare_curvature_reports_per_point(bumpy2):
     spec = random_spec(bumpy2.chart, 19)
     pts = bumpy2.chart.sample(4, 20)
@@ -387,27 +405,37 @@ def test_compare_curvature_reports_per_point(bumpy2):
 
 # ------------------------------------------------------------- corruption
 
-def test_group_corruption_moves_the_formula_only(bumpy2):
+def both_paths(man, spec, pts, corrupt=None):
+    """``curvatures`` of the frame of ``spec`` at ``pts`` with the fault ``corrupt``."""
+    return curvatures(evaluate_spec(man.chart, man.metric, spec, pts, order=2, corrupt=corrupt))
+
+
+def test_curvatures_runs_the_formula_and_the_oracle(bumpy2):
     spec = random_spec(bumpy2.chart, 21)
     pts = bumpy2.chart.sample(4, 22)
     frame = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts, order=2)
-    clean, _ = curvature_formula(frame)
-    hot, _ = curvature_formula(frame, corrupt=Corruption("f1_block"))
+    total, groups, direct = curvatures(frame)
+    formula_total, formula_groups = curvature_formula(frame)
+    assert same_bits(total, formula_total)
+    assert all(same_bits(groups[name], formula_groups[name]) for name in GROUPS)
+    assert same_bits(direct, curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts))
+
+
+def test_group_corruption_moves_the_formula_only(bumpy2):
+    spec = random_spec(bumpy2.chart, 21)
+    pts = bumpy2.chart.sample(4, 22)
+    clean, _, clean_direct = both_paths(bumpy2, spec, pts)
+    hot, _, hot_direct = both_paths(bumpy2, spec, pts, Corruption("f1_block"))
     assert max_abs(hot - clean) > 1e-6
-    clean_direct = curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts)
-    hot_direct = curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts, corrupt=Corruption("f1_block"))
     assert np.array_equal(clean_direct, hot_direct)
 
 
 def test_h_corruption_moves_the_oracle_only(bumpy2):
     spec = random_spec(bumpy2.chart, 23)
     pts = bumpy2.chart.sample(4, 24)
-    frame = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts, order=2)
-    clean, _ = curvature_formula(frame)
-    hot, _ = curvature_formula(frame, corrupt=Corruption("h_f1"))
+    clean, _, clean_direct = both_paths(bumpy2, spec, pts)
+    hot, _, hot_direct = both_paths(bumpy2, spec, pts, Corruption("h_f1"))
     assert np.array_equal(clean, hot)
-    clean_direct = curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts)
-    hot_direct = curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts, corrupt=Corruption("h_f1"))
     assert max_abs(hot_direct - clean_direct) > 1e-6
 
 
@@ -422,10 +450,12 @@ def test_a_doubled_riemann_group_fails_on_curved_charts(name, params, seed):
     man = preset_manifold(name, params)
     spec = random_spec(man.chart, seed)
     pts = man.chart.sample(10, seed)
-    frame = evaluate_spec(man.chart, man.metric, spec, pts, order=needed_order(spec))
+    order = needed_order(spec)
+    frame = evaluate_spec(man.chart, man.metric, spec, pts, order=order)
     direct = curvature_direct(man.chart, man.metric, spec, pts)
     clean, _ = curvature_formula(frame)
-    doubled, _ = curvature_formula(frame, corrupt=Corruption("riemann", 2.0))
+    doubled, _ = curvature_formula(evaluate_spec(
+        man.chart, man.metric, spec, pts, order=order, corrupt=Corruption("riemann")))
     assert norm_residual(clean, direct) <= 1e-8
     assert norm_residual(doubled, direct) > 1e-8
 
@@ -435,6 +465,8 @@ def test_unknown_corruption_term_is_rejected(bumpy2):
     pts = bumpy2.chart.sample(2, 26)
     with pytest.raises(BadParams):
         compare_curvature(bumpy2.chart, bumpy2.metric, spec, pts, corrupt=Corruption("no_such_term"))
+    with pytest.raises(BadParams):
+        diagnose(bumpy2.chart, bumpy2.metric, spec, pts, corrupt=Corruption("no_such_term"))
 
 
 # --------------------------------------------------------------- diagnosis
@@ -487,6 +519,17 @@ def test_diagnose_alignment_sign_separates_the_sides(bumpy2):
         top = report["term_table"][0]
         assert top["term"] == term
         assert top["alignment"] == pytest.approx(sign, abs=1e-9)
+
+
+@pytest.mark.parametrize("tolerance", [float("inf"), True, 5.0, -1.0, float("nan")])
+def test_diagnose_refuses_a_tolerance_that_cannot_gate(bumpy2, tolerance):
+    # inf, True and 5.0 would pass this failing comparison (residual 0.66)
+    # and skip its ablation; -1.0 and nan could never pass one
+    spec = random_spec(bumpy2.chart, 3)
+    pts = bumpy2.chart.sample(5, 4)
+    with pytest.raises(BadParams, match="tolerance"):
+        diagnose(bumpy2.chart, bumpy2.metric, spec, pts, tolerance=tolerance,
+                 corrupt=Corruption("h_f1"))
 
 
 def test_diagnose_is_deterministic(bumpy2):

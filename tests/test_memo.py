@@ -350,7 +350,7 @@ def test_each_curvature_entry_is_keyed_by_exactly_the_bindings_it_reads(monkeypa
 
 def test_a_failing_verify_recomputes_only_what_a_zeroed_binding_reads(monkeypatch):
     # One failing verify: the check itself, then diagnose.  Count the group
-    # and H-addend entries each later formula and oracle call adds.
+    # and H-addend entries each formula and oracle call adds.
     added = {"formula": [], "oracle": []}
 
     def counting(path, function):
@@ -364,8 +364,7 @@ def test_a_failing_verify_recomputes_only_what_a_zeroed_binding_reads(monkeypatc
             return result
         return wrapper
 
-    # diagnose's calls go through the curvature module's names; the check's
-    # own calls (through affconn.cli) are not counted
+    # every pair runs through ``curvatures``, by the curvature module's names
     monkeypatch.setattr(curvature, "curvature_formula",
                         counting("formula", curvature.curvature_formula))
     monkeypatch.setattr(curvature, "curvature_direct",
@@ -373,15 +372,18 @@ def test_a_failing_verify_recomputes_only_what_a_zeroed_binding_reads(monkeypatc
     config = parse_config(json.dumps(RAW_BUMPY3))
     code, report = cmd_verify(config, corrupt_term="h_f1")
     assert code == 1 and report["diagnosis"]["term_table"][0]["term"] == "h_f1"
-    assert len(added["formula"]) == 14 and len(added["oracle"]) == 19
+    assert len(added["formula"]) == 15 and len(added["oracle"]) == 20
+    # the check builds all 14 groups and 5 addends of the one-block batch
+    assert added["formula"][0] == (len(GROUPS), 0)
+    assert added["oracle"][0] == (0, len(H_TERMS))
     # diagnose's first run, its clean groups, its clean and 5 bumped oracles
-    assert added["formula"][:2] == [(0, 0), (0, 0)]
-    assert added["oracle"][:7] == [(0, 0)] * 7
+    assert added["formula"][1:3] == [(0, 0), (0, 0)]
+    assert added["oracle"][1:8] == [(0, 0)] * 7
     # the ablation zeroes u, u1, u2, f1, f2, phi in turn
-    ablation = [groups for groups, _ in added["formula"][2:8]]
+    ablation = [groups for groups, _ in added["formula"][3:9]]
     assert ablation == [sum(b in reads for reads in GROUP_READS.values()) for b in BINDING_NAMES]
     assert ablation == [7, 5, 4, 5, 4, 7] and sum(ablation) == 32
-    assert [addends for _, addends in added["oracle"][7:13]] == [3, 1, 1, 1, 1, 3]
+    assert [addends for _, addends in added["oracle"][8:14]] == [3, 1, 1, 1, 1, 3]
     spec = config.spec
     assert spec.with_zeroed("u").u is spec.with_zeroed("u").u
 
@@ -405,7 +407,7 @@ def test_a_failing_verify_computes_h_once(monkeypatch):
         monkeypatch.setattr(module, "evaluate_spec", counted_frames)
     code, report = cmd_verify(parse_config(json.dumps(RAW_BUMPY3)), corrupt_term="h_f1")
     assert code == 1 and report["diagnosis"]["term_table"][0]["term"] == "h_f1"
-    assert len(frames) == 15 and corruptions == [Corruption("h_f1", 2.0)]
+    assert len(frames) == 15 and corruptions == [Corruption("h_f1")]
     assert "h" in vars(frames[0]) and not any("h" in vars(frame) for frame in frames[1:])
 
 

@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 
 from affconn import list_cases, preset_manifold
+from affconn.cli import cmd_verify, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGEST_SCRIPT = ROOT / "tools" / "report_digest.py"
+DIGEST_CONFIGS = sorted((ROOT / "tools" / "digest_configs").glob("*.json"))
 TRACING_MODULE = ROOT / "perfbench" / "tracing.py"
 WORKLOADS_MODULE = ROOT / "perfbench" / "workloads.py"
 
@@ -73,6 +75,22 @@ def test_report_digest_prints_a_stable_digest_per_config(tmp_path, capsys, repor
     wider = digests("--points", "4")
     assert [name for _, name in wider] == [*paths, "overall"]
     assert all(a != b for (a, _), (b, _) in zip(wider, first))
+
+
+def test_the_checked_in_digest_configs_verify_clean():
+    """The configs the same-bits check runs on (README, "Tests"): raw bumpy
+    n = 2, 3, 4, a Ricci-operator case and case 17, each with a sampler so
+    that ``--points`` applies.  No digest is pinned: a change that moves
+    bits on purpose changes them."""
+    assert [path.name for path in DIGEST_CONFIGS] == [
+        "case17_sphere2.json", "case2_bumpy3.json",
+        "raw_bumpy2.json", "raw_bumpy3.json", "raw_bumpy4.json",
+    ]
+    for path in DIGEST_CONFIGS:
+        config = parse_config(path.read_text(encoding="utf-8"))
+        assert config.points.shape[0] == 10, path.name
+        code, report = cmd_verify(config)
+        assert code == 0 and report["pass"], path.name
 
 
 def test_every_traced_target_resolves_as_the_tracer_wraps_it():
