@@ -52,11 +52,15 @@ from .connection import (
     transpose_torsion_closed,
     transpose_torsion_from_metric,
 )
-from .curvature import CORRUPTIBLE_TERMS, curvatures, diagnose, needed_order
+from .curvature import curvatures, diagnose, needed_order
 from .errors import (
     AffconnError,
     BadParams,
+    CaseUnknown,
     DimensionMismatch,
+    ExtraBinding,
+    MetricNotPositiveDefinite,
+    MissingBinding,
     PointOutsideDomain,
     SchemaError,
     UnknownPreset,
@@ -151,7 +155,8 @@ def _at(where: str, build):
     """``build()``, with ``where: `` put before a parameter error's message."""
     try:
         return build()
-    except (BadParams, DimensionMismatch, UnknownPreset) as exc:
+    except (BadParams, CaseUnknown, DimensionMismatch, ExtraBinding, MissingBinding,
+            UnknownPreset) as exc:
         raise type(exc)(f"{where}: {exc}") from None
 
 
@@ -226,7 +231,7 @@ def _parse_connection(obj, manifold: Manifold):
         case_id = obj["case"]
         if isinstance(case_id, bool) or not isinstance(case_id, (int, str)):
             raise SchemaError("connection.case: expected a case id")
-        preset = get_case(case_id)
+        preset = _at("connection.case", lambda: get_case(case_id))
         bindings_json = _expect_dict(obj.get("bindings", {}), "connection.bindings")
         bindings = {}
         for name, val in bindings_json.items():
@@ -235,7 +240,7 @@ def _parse_connection(obj, manifold: Manifold):
                 bindings[name] = _parse_endo(n, val, where)
             else:
                 bindings[name] = _parse_oneform(n, val, where)
-        spec = build_case(preset.id, bindings, manifold)
+        spec = _at("connection.bindings", lambda: build_case(preset.id, bindings, manifold))
         return spec, preset.id, sorted(bindings)
     extra = set(obj) - {"raw"}
     if extra:
@@ -451,12 +456,7 @@ def _manifold_echo(manifold: Manifold) -> dict:
 def cmd_verify(config: RunConfig, corrupt_term: str | None = None) -> tuple[int, dict]:
     corruption = None
     if corrupt_term is not None:
-        if corrupt_term not in CORRUPTIBLE_TERMS:
-            raise SchemaError(
-                f"--corrupt-term {corrupt_term!r} is not one of "
-                f"{', '.join(CORRUPTIBLE_TERMS)}"
-            )
-        corruption = Corruption(corrupt_term)
+        corruption = _at("--corrupt-term", lambda: Corruption(corrupt_term))
 
     # One context for the whole command: diagnose reuses its first evaluation.
     with _evaluation_context():
@@ -699,12 +699,19 @@ def main(argv=None) -> int:
             _emit(report, args.output or "json")
             return code
         config = _load_config(args.config, getattr(args, "tolerance", None), args.output)
-        if args.command == "verify":
-            code, report = cmd_verify(config, corrupt_term=args.corrupt_term)
-        elif args.command == "tensors":
-            code, report = cmd_tensors(config)
-        else:
-            code, report = cmd_ablate(config)
+        try:
+            if args.command == "verify":
+                code, report = cmd_verify(config, corrupt_term=args.corrupt_term)
+            elif args.command == "tensors":
+                code, report = cmd_tensors(config)
+            else:
+                code, report = cmd_ablate(config)
+        except MetricNotPositiveDefinite as exc:
+            # every command evaluates the metric at the config's points, in order
+            where = "manifold.metric" if config.manifold.name == "inline" else "manifold"
+            sys.stderr.write(f"error: points[{exc.point}]: {where}: eigenvalues "
+                             f"{exc.eigenvalues} fail the SPD check\n")
+            return 2
         _emit(report, config.output)
         return code
     except (AffconnError, json.JSONDecodeError, OSError, ValueError) as exc:

@@ -34,6 +34,7 @@ from .fields import (
     PolynomialEndoField,
     PolynomialOneFormField,
     PolynomialScalarField,
+    _blocks,
     _evaluation_context,
     _memo,
     _random_polynomials,
@@ -43,7 +44,10 @@ from .levi_civita import PointGeometry
 
 __all__ = [
     "ConnectionSpec",
+    "CORRUPTIBLE_TERMS",
     "Corruption",
+    "GROUP_READS",
+    "GROUPS",
     "H_TERMS",
     "PhiSplit",
     "PointFrame",
@@ -68,12 +72,44 @@ __all__ = [
 # The five addends of H, by name, for fault injection.
 H_TERMS = ("h_u_phi1", "h_u_phi2", "h_phi1_u", "h_f1", "h_f2")
 
+# The 14 addend groups of the curvature formula (``curvature_formula``), by
+# display line, with the spec bindings each reads besides the metric.
+GROUP_READS = {
+    "riemann": (),
+    "du_phi2": ("u", "phi"),
+    "alpha_phi1": ("u", "phi"),
+    "a_phi1": ("u", "phi"),
+    "r0_mu": ("u", "phi"),
+    "nabla_phi2": ("u", "phi"),
+    "f1_block": ("f1", "u1", "u", "phi"),
+    "f2_block": ("f2", "u2", "u", "phi"),
+    "f1_sq": ("f1", "u1"),
+    "f2_sq": ("f2", "u2"),
+    "f1_f2": ("f1", "f2", "u1", "u2"),
+    "xf1_block": ("f1", "u1"),
+    "yf1_block": ("f1", "u1"),
+    "grad_f2": ("f2", "u2"),
+}
+
+GROUPS = tuple(GROUP_READS)
+
+CORRUPTIBLE_TERMS = H_TERMS + GROUPS
+
 
 @dataclass(frozen=True)
 class Corruption:
-    """Double one named term (test hook): an H addend or a curvature formula group."""
+    """Double one named term (test hook): an H addend or a curvature formula
+    group.  A name outside ``CORRUPTIBLE_TERMS`` raises ``BadParams``, so no
+    fault can be asked for that no path would inject."""
 
     name: str
+
+    def __post_init__(self):
+        if self.name not in CORRUPTIBLE_TERMS:
+            raise BadParams(
+                f"unknown corruptible term {self.name!r}; choose one of "
+                f"{', '.join(CORRUPTIBLE_TERMS)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -179,10 +215,19 @@ def point_max_abs(a: np.ndarray) -> np.ndarray:
 
 
 def point_residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """max|a_p - b_p| / max(1, max|a_p|, max|b_p|) for each point p; NaN where
-    a_p or b_p holds NaN or inf."""
-    scale = np.maximum(np.maximum(point_max_abs(a), point_max_abs(b)), 1.0)
-    return point_max_abs(a - b) / scale
+    """max|a_p - b_p| / max(1, max|a_p|, max|b_p|) for each point p of two
+    arrays of one shape; NaN where a_p or b_p holds NaN or inf.
+
+    The batch is taken in point blocks (``fields._blocks``) into a length-m
+    output, so the difference and its absolute value exist one block at a
+    time; each point reduces over its own entries, so every block size gives
+    the same bits."""
+    out = np.empty(a.shape[0])
+    for at in _blocks(a.shape[0], math.prod(a.shape[1:])):
+        x, y = at(a), at(b)
+        scale = np.maximum(np.maximum(point_max_abs(x), point_max_abs(y)), 1.0)
+        at(out)[...] = point_max_abs(x - y) / scale
+    return out
 
 
 def norm_residual(a: np.ndarray, b: np.ndarray) -> float:

@@ -16,13 +16,15 @@ d_k.  The exterior derivative convention is 2du(d_i, d_j) = d_i u_j - d_j u_i.
 from __future__ import annotations
 
 import functools
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .connection import (
+    CORRUPTIBLE_TERMS,
+    GROUP_READS,
+    GROUPS,
     Corruption,
     H_TERMS,
     ConnectionSpec,
@@ -35,15 +37,16 @@ from .connection import (
     point_residuals,
     sharp,
 )
-from .errors import BadParams
 from .fields import (
-    Chart, Jet, _evaluation_context, _memo, batch_zeros, points_last,
+    Chart, Jet, _blocks, _evaluation_context, _memo, _whole, batch_zeros, points_last,
 )
 from .levi_civita import (
     PointGeometry,
+    christoffel,
     cov_deriv_endo,
     cov_deriv_oneform,
     cov_deriv_vector,
+    riemann,
 )
 
 __all__ = [
@@ -65,50 +68,7 @@ __all__ = [
     "BINDING_NAMES",
 ]
 
-# The 14 addend groups of the curvature formula, by display line, with the
-# spec bindings each reads besides the metric.
-GROUP_READS = {
-    "riemann": (),
-    "du_phi2": ("u", "phi"),
-    "alpha_phi1": ("u", "phi"),
-    "a_phi1": ("u", "phi"),
-    "r0_mu": ("u", "phi"),
-    "nabla_phi2": ("u", "phi"),
-    "f1_block": ("f1", "u1", "u", "phi"),
-    "f2_block": ("f2", "u2", "u", "phi"),
-    "f1_sq": ("f1", "u1"),
-    "f2_sq": ("f2", "u2"),
-    "f1_f2": ("f1", "f2", "u1", "u2"),
-    "xf1_block": ("f1", "u1"),
-    "yf1_block": ("f1", "u1"),
-    "grad_f2": ("f2", "u2"),
-}
-
-GROUPS = tuple(GROUP_READS)
-
-CORRUPTIBLE_TERMS = H_TERMS + GROUPS
-
 BINDING_NAMES = ("u", "u1", "u2", "f1", "f2", "phi")
-
-# Bytes of curvature per point block, for the formula and the oracle alike.
-# Their temporaries, a few per block of this size, then stay within a
-# core's L2 cache instead of being fresh full-batch allocations.  Fixed by
-# measurement (README, "Memory layout").
-_BLOCK_BYTES = 256 * 1024
-
-
-def _whole(arr):
-    return arr
-
-
-def _blocks(m: int, n: int) -> list:
-    """The blocks of an (m, n) batch, ``_BLOCK_BYTES`` of curvature each, as
-    functions that take a block's rows (views); a batch of one block is taken
-    as it is.  Both curvature paths run this loop, on tensors of their own."""
-    step = max(1, _BLOCK_BYTES // (8 * n**4))
-    if m <= step:
-        return [_whole]
-    return [operator.itemgetter(slice(start, start + step)) for start in range(0, m, step)]
 
 
 class _Groups(Mapping):
@@ -220,10 +180,14 @@ def curvature_formula(frame: PointFrame) -> tuple[np.ndarray, Mapping]:
     group ``frame.corrupt`` names, if any, is doubled, in both.
 
     ``total`` is summed in ``GROUPS`` order into a fresh buffer, block by
-    block of points (``_blocks``), so a call holds one block's groups at a
-    time.  The helpers of rank at most 4 (beta/alpha of u, u1 and u2, mu,
+    block of points (``fields._blocks``), so a call holds one block's groups
+    at a time.  The helpers of rank at most 4 (beta/alpha of u, u1 and u2, mu,
     nabla phi2, 2du, 2du1, the f1 recurrence) are built once per call on the
-    whole batch, when a group first needs them.
+    whole batch, when a group first needs them.  The ``riemann`` group is
+    Levi-Civita R built in its block from the block's rows of the metric's
+    2-jet, the inverse's 1-jet and ``geo.gamma``, the arithmetic of
+    ``geo.riemann`` point by point, so neither the call nor the geometry
+    holds a whole-batch Christoffel 1-jet or R.
 
     Each group, the beta/alpha helpers and the f1 recurrence are memoised
     (``fields._memo``), read-only, by the frame's jets of the bindings they
@@ -361,7 +325,12 @@ def curvature_formula(frame: PointFrame) -> tuple[np.ndarray, Mapping]:
         return _minus_swap(np.einsum("pj,pik,pl->plijk", at(gf2), at(g), at(big_u2)))
 
     formulas = {
-        "riemann": lambda at: at(geo.riemann.r),
+        # Levi-Civita R from the block's metric and inverse jets and Gamma:
+        # no whole-batch derivative of Gamma or R is kept on the geometry
+        "riemann": lambda at: riemann(christoffel(
+            Jet(*map(at, geo.metric.levels[:3])), Jet(*map(at, geo.inv.levels[:2])),
+            at(geo.gamma),
+        )).r,
         "du_phi2": du_phi2,
         "alpha_phi1": alpha_phi1,
         "a_phi1": a_phi1,
@@ -383,8 +352,8 @@ def curvature_formula(frame: PointFrame) -> tuple[np.ndarray, Mapping]:
             value = 2.0 * value
         return value
 
-    total = np.zeros_like(geo.riemann.r)  # sum()'s order and bits, one buffer
-    for at in _blocks(*geo.pts.shape):
+    total = batch_zeros(geo.m, (geo.n,) * 4)  # sum()'s order and bits, one buffer
+    for at in _blocks(geo.m, geo.n**4):
         pts, rows = at(geo.pts), at(total)
         for name in GROUPS:
             rows += group(name, at, pts)
@@ -456,9 +425,9 @@ def curvature_direct(
     evaluator's matmul may round differently at another batch size, and in
     one evaluation context (the caller's, if one is open), so they share
     monomial tables.  Everything after them runs block by block
-    (``_blocks``, the loop ``curvature_formula`` runs too, on tensors of its
-    own), ``_BLOCK_BYTES`` of curvature at a time, so its temporaries stay
-    cache-sized (README, "Memory layout"), and is memoised per block, keyed
+    (``fields._blocks``, the loop ``curvature_formula`` runs too, on tensors
+    of its own), ``_BLOCK_BYTES`` of curvature at a time, so its temporaries
+    stay cache-sized (README, "Memory layout"), and is memoised per block, keyed
     by the block's points, in the caller's context only: a context opened
     around the block loop would hold every block's intermediates until the
     call returned.  A point's arithmetic does not depend on its block, so
@@ -531,7 +500,7 @@ def curvature_direct(
 
     jets = (g, f1, f2, u, u1, u2, phi)
     r = batch_zeros(pts.shape[0], (chart.n,) * 4)
-    for at in _blocks(*pts.shape):
+    for at in _blocks(pts.shape[0], chart.n**4):
         rows = jets if at is _whole else (Jet(*map(at, jet.levels)) for jet in jets)
         half = block_half(at(pts), *rows)
         np.subtract(half, half.swapaxes(2, 3), out=at(r))
@@ -584,10 +553,6 @@ def compare_curvature(
 
 
 def _run_both(chart, metric_field, spec, pts, corrupt):
-    if corrupt is not None and corrupt.name not in CORRUPTIBLE_TERMS:
-        raise BadParams(
-            f"unknown corruptible term {corrupt.name!r}; choose one of {CORRUPTIBLE_TERMS}"
-        )
     return curvatures(evaluate_spec(
         chart, metric_field, spec, pts, order=needed_order(spec), corrupt=corrupt))
 

@@ -26,7 +26,15 @@ class PointOutsideDomain(AffconnError):
 
 
 class MetricNotPositiveDefinite(AffconnError):
-    """Metric failed the SPD check at an evaluated point."""
+    """Metric failed the SPD check at an evaluated point: ``point`` is its
+    index in the evaluated batch, ``eigenvalues`` the metric's there (None
+    where the raiser did not give them)."""
+
+    def __init__(self, message: str, point: int | None = None,
+                 eigenvalues: list | None = None):
+        super().__init__(message)
+        self.point = point
+        self.eigenvalues = eigenvalues
 
 
 class JetOrderUnsupported(AffconnError):

@@ -112,6 +112,29 @@ def batch_zeros(m: int, shape: tuple) -> np.ndarray:
     return _points_first_view(np.zeros(shape + (m,)))
 
 
+# Bytes of one point block's largest array (curvature, in the curvature
+# paths; the compared tensors, in a residual).  A few temporaries of this
+# size then stay within a core's L2 cache instead of being fresh full-batch
+# allocations.  Fixed by measurement (README, "Memory layout").
+_BLOCK_BYTES = 256 * 1024
+
+
+def _whole(arr):
+    return arr
+
+
+def _blocks(m: int, entries: int) -> list:
+    """The point blocks of a batch of ``m`` points, as functions that take a
+    block's rows (views), each block ``_BLOCK_BYTES`` of an array with
+    ``entries`` float64 entries per point; a batch of one block is
+    ``[_whole]``, taken as it is.  The curvature formula, the oracle and the
+    residuals run this loop, each on arrays of its own."""
+    step = max(1, _BLOCK_BYTES // (8 * entries))
+    if m <= step:
+        return [_whole]
+    return [operator.itemgetter(slice(start, start + step)) for start in range(0, m, step)]
+
+
 def points_last(arr: np.ndarray) -> np.ndarray:
     """A points-last copy of the batched array ``arr``, same shape."""
     out = batch_zeros(arr.shape[0], arr.shape[1:])
@@ -922,7 +945,8 @@ def _spd_check(comp: np.ndarray):
     if np.any(bad):
         p = int(np.argmax(bad))
         raise MetricNotPositiveDefinite(
-            f"metric eigenvalues {w[p].tolist()} fail the SPD check at point index {p}"
+            f"metric eigenvalues {w[p].tolist()} fail the SPD check at point index {p}",
+            p, w[p].tolist(),
         )
 
 

@@ -87,18 +87,21 @@ def _lowered(d_i: np.ndarray, d_j: np.ndarray, d_m: np.ndarray) -> np.ndarray:
     return low
 
 
-def christoffel(mj: Jet, inv: Jet | None = None) -> Jet:
+def christoffel(mj: Jet, inv: Jet | None = None, gamma: np.ndarray | None = None) -> Jet:
     """Levi-Civita connection coefficients with available derivatives.
 
     Built through the lowered symbol C_mij = (d_i g_mj + d_j g_mi - d_m g_ij)/2,
-    which is exactly symmetric in (i, j) because metric jets are.
+    which is exactly symmetric in (i, j) because metric jets are.  ``gamma``
+    is Gamma itself on the same points, if the caller has it (from this
+    function, so the same bits); only its derivatives are then computed.
     """
     if inv is None:
         inv = inverse_metric(mj)
     low = _lowered(
         np.einsum("pimj->pmij", mj.d1), np.einsum("pjmi->pmij", mj.d1), mj.d1
     )
-    gamma = np.einsum("pkm,pmij->pkij", inv.comp, low)
+    if gamma is None:
+        gamma = np.einsum("pkm,pmij->pkij", inv.comp, low)
     d1 = d2 = None
     if mj.d2 is not None:
         low_d1 = _lowered(
@@ -202,6 +205,13 @@ class PointGeometry:
     level less than the metric, but at least d1: ``inv.d2`` is None below
     order 3.  The data is read-only once computed, since one geometry may
     serve a whole run (see ``fields._memo``).
+
+    ``gamma``, the symbols alone, is what the connection and the curvature
+    formula read.  ``christoffel`` (with its derivatives), ``riemann`` and
+    ``ricci`` are whole-batch rank-5 arrays at order 2, held for the
+    geometry's life; only a geometry-derived phi and case 17 read them.  The
+    formula builds R block by block from the metric and inverse jets and
+    ``gamma`` instead (``curvature.curvature_formula``).
     """
 
     def __init__(self, chart: Chart, metric, pts, order: int = 1):
@@ -219,7 +229,7 @@ class PointGeometry:
 
     @cached_property
     def christoffel(self) -> Jet:
-        return _read_only(christoffel(self.metric, self.inv))
+        return _read_only(christoffel(self.metric, self.inv, self.gamma))
 
     @cached_property
     def riemann(self) -> CurvatureComponents:
@@ -239,6 +249,8 @@ class PointGeometry:
     def ginv(self) -> np.ndarray:
         return self.inv.comp
 
-    @property
+    @cached_property
     def gamma(self) -> np.ndarray:
-        return self.christoffel.comp
+        """Gamma^k_ij from the metric's value and d1 only, so reading it
+        builds no derivative of Gamma; ``christoffel`` reuses it."""
+        return _read_only(christoffel(Jet(*self.metric.levels[:2]), self.inv).comp)

@@ -168,6 +168,39 @@ def test_inline_metric_errors_name_the_metric(tmp_path, capsys):
     assert err == "error: manifold.metric: metric entries (0,1) and (1,0) differ\n"
 
 
+def test_an_unknown_case_names_connection_case(tmp_path, capsys):
+    payload = dict(RICCI_CASE, connection={"case": "99", "bindings": {"u": [X1, X2]}})
+    code, out, err = run_main(capsys, "verify", "--config", config_file(tmp_path, payload))
+    assert code == 2 and out == ""
+    assert err.startswith("error: connection.case: no case preset '99'; known ids are 1, ")
+
+
+def test_a_missing_binding_names_connection_bindings(tmp_path, capsys):
+    payload = dict(RICCI_CASE, connection={"case": "1", "bindings": {"u": [X1, X2]}})
+    code, out, err = run_main(capsys, "verify", "--config", config_file(tmp_path, payload))
+    assert code == 2 and out == ""
+    assert err.startswith("error: connection.bindings: case 1 needs bindings ['phi']")
+
+
+def test_an_extra_binding_names_connection_bindings(tmp_path, capsys):
+    bindings = {"u": [X1, X2], "omega": [X2, 0]}
+    payload = dict(RICCI_CASE, connection={"case": "2", "bindings": bindings})
+    code, out, err = run_main(capsys, "verify", "--config", config_file(tmp_path, payload))
+    assert code == 2 and out == ""
+    assert err.startswith("error: connection.bindings: case 2 got unexpected bindings ['omega']")
+
+
+@pytest.mark.parametrize("command", ["verify", "tensors", "ablate"])
+def test_a_metric_that_is_not_positive_definite_names_the_point(tmp_path, capsys, command):
+    # g_22 = x^1 is negative at the second point only
+    payload = dict(MINIMAL, manifold={"chart": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+                                      "metric": [[1.0, 0], [0, X1]]},
+                   points=[[0.5, 0.0], [-0.5, 0.0]])
+    code, out, err = run_main(capsys, command, "--config", config_file(tmp_path, payload))
+    assert code == 2 and out == ""
+    assert err == "error: points[1]: manifold.metric: eigenvalues [-0.5, 1.0] fail the SPD check\n"
+
+
 def test_parse_sampler_points():
     cfg = parse_config(json.dumps(dict(MINIMAL, points={"count": 5, "seed": 3})))
     assert cfg.points.shape == (5, 2)
@@ -477,7 +510,7 @@ def test_verify_unknown_corrupt_term_is_usage_error(tmp_path, capsys):
     path = config_file(tmp_path, MINIMAL)
     code, out, err = run_main(capsys, "verify", "--config", path, "--corrupt-term", "wat")
     assert code == 2 and out == ""
-    assert "wat" in err
+    assert err.startswith("error: --corrupt-term: unknown corruptible term 'wat'; choose one of ")
 
 
 # ----------------------------------------------------------------- tensors

@@ -1,5 +1,7 @@
 """Deformation tensor, torsion, non-metricity, transpose torsion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,9 @@ from affconn import (
     transpose_torsion_closed,
     transpose_torsion_from_metric,
 )
-from affconn.connection import H_TERMS, deformation_h, sharp, split_phi
-from affconn.fields import PolynomialExpr
+from affconn import fields
+from affconn.connection import H_TERMS, deformation_h, point_max_abs, point_residuals, sharp, split_phi
+from affconn.fields import PolynomialExpr, points_last
 from affconn.levi_civita import PointGeometry
 from conftest import rel_err
 
@@ -273,6 +276,38 @@ def test_unknown_corruption_name_is_ignored_by_h(bumpy2):
     clean = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts)
     hot = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts, corrupt=Corruption("riemann"))
     assert np.array_equal(clean.h, hot.h)
+
+
+def test_blocked_residuals_equal_the_one_block_expression(monkeypatch):
+    # NaN and inf in different blocks of 3 points: each point keeps its own
+    # residual, NaN positions included
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((2, 10, 3, 3, 3))
+    a[1, 0, 2, 1] = np.nan  # block 0
+    b[4, 1, 1, 0] = np.inf  # block 1
+    a[8, 2, 0, 0] = b[8, 2, 0, 0] = -np.inf  # block 2
+    with np.errstate(invalid="ignore"):  # inf - inf, inf / inf
+        scale = np.maximum(np.maximum(point_max_abs(a), point_max_abs(b)), 1.0)
+        whole = point_max_abs(a - b) / scale
+        monkeypatch.setattr(fields, "_BLOCK_BYTES", 3 * 8 * 27)
+        assert len(fields._blocks(10, 27)) == 4
+        blocked = point_residuals(a, b)
+    assert np.array_equal(blocked, whole, equal_nan=True)
+    assert np.flatnonzero(np.isnan(blocked)).tolist() == [1, 4, 8]
+
+
+def test_the_residual_holds_no_full_size_temporary():
+    # two curvature-sized tensors of bumpy n = 4 at m = 2000, 4.1 MB each:
+    # 2.0x when a - b and its |.| were whole-batch arrays
+    rng = np.random.default_rng(13)
+    a, b = (points_last(rng.standard_normal((2000, 4, 4, 4, 4))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        norm_residual(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * a.nbytes, peak / a.nbytes
 
 
 # ---------------------------------------------------------------- torsion

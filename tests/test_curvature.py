@@ -286,6 +286,14 @@ def oracle_input(name):
     return man, random_spec(man.chart, 43), man.chart.sample(m, 44)
 
 
+def assert_block_count(m, n, block_bytes):
+    """The patched ``fields._BLOCK_BYTES`` takes effect: one point per
+    block, 7 per block, or the batch as it is."""
+    blocks = fields._blocks(m, n**4)
+    want = {1: m, 7 * 8 * n**4: -(-m // 7), 2**62: 1}[block_bytes]
+    assert len(blocks) == want and (want > 1) == (blocks[0] is not fields._whole)
+
+
 @pytest.mark.parametrize("name", ["bumpy3", "bumpy4", "sphere2", "half_plane", "ricci", "case17"])
 def test_oracle_blocks_keep_every_bit(monkeypatch, name):
     # Each point's arithmetic must not depend on its block: one point per
@@ -299,7 +307,8 @@ def test_oracle_blocks_keep_every_bit(monkeypatch, name):
     for corrupt in corruptions:
         default = curvature_direct(man.chart, man.metric, spec, pts, corrupt=corrupt)
         for block_bytes in (1, 7 * 8 * n**4, 2**62):
-            monkeypatch.setattr(curvature, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(fields, "_BLOCK_BYTES", block_bytes)
+            assert_block_count(len(pts), n, block_bytes)
             blocked = curvature_direct(man.chart, man.metric, spec, pts, corrupt=corrupt)
             assert same_bits(blocked, default), (corrupt, block_bytes)
         monkeypatch.undo()
@@ -355,7 +364,8 @@ def test_formula_blocks_keep_every_bit(monkeypatch, name):
             summed += groups[group]
         assert same_bits(summed, default), corrupt
         for block_bytes in (1, 7 * 8 * n**4, 2**62):
-            monkeypatch.setattr(curvature, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(fields, "_BLOCK_BYTES", block_bytes)
+            assert_block_count(len(pts), n, block_bytes)
             blocked, _ = curvature_formula(frame)
             assert same_bits(blocked, default), (corrupt, block_bytes)
         monkeypatch.undo()
@@ -374,6 +384,22 @@ def test_the_formula_sums_its_groups_block_by_block():
     # 15.0x with the 14 groups built on the whole batch; the total and the
     # helpers of rank at most 4 are most of what is left
     assert peak < 6 * r.nbytes, peak / r.nbytes
+
+
+def test_the_formula_leaves_no_whole_batch_levi_civita_curvature():
+    # 3.2x when the riemann group read geo.riemann, which kept the
+    # Christoffel 1-jet and R of the whole batch on the geometry
+    man, spec, _ = oracle_input("bumpy4")
+    frame = evaluate_spec(man.chart, man.metric, spec, man.chart.sample(2000, 48), order=2)
+    tracemalloc.start()
+    try:
+        total, _ = curvature_formula(frame)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the total and the geometry's symbols, a quarter of it at n = 4
+    assert held <= 1.5 * total.nbytes, held / total.nbytes
+    assert not {"christoffel", "riemann"} & set(vars(frame.geo))
 
 
 def test_a_caller_keeping_groups_holds_no_helper():
@@ -461,12 +487,14 @@ def test_a_doubled_riemann_group_fails_on_curved_charts(name, params, seed):
 
 
 def test_unknown_corruption_term_is_rejected(bumpy2):
-    spec = random_spec(bumpy2.chart, 25)
-    pts = bumpy2.chart.sample(2, 26)
+    # refused where the fault is made, so no path can run clean with a
+    # mistyped name
+    spec = random_spec(bumpy2.chart, 3)
+    pts = bumpy2.chart.sample(5, 26)
+    with pytest.raises(BadParams, match="unknown corruptible term 'h_f11'"):
+        Corruption("h_f11")
     with pytest.raises(BadParams):
-        compare_curvature(bumpy2.chart, bumpy2.metric, spec, pts, corrupt=Corruption("no_such_term"))
-    with pytest.raises(BadParams):
-        diagnose(bumpy2.chart, bumpy2.metric, spec, pts, corrupt=Corruption("no_such_term"))
+        curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts, corrupt=Corruption("h_f11"))
 
 
 # --------------------------------------------------------------- diagnosis

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -680,6 +681,18 @@ def test_constant_metric_validation():
     indefinite = ConstantMetricField(2, np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(MetricNotPositiveDefinite):
         indefinite.jet(np.zeros((1, 2)), 1)
+
+
+def test_the_spd_error_carries_its_point_and_pickles():
+    indefinite = ConstantMetricField(2, np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(MetricNotPositiveDefinite) as info:
+        indefinite.jet(np.zeros((3, 2)), 1)
+    assert (info.value.point, info.value.eigenvalues) == (0, [-1.0, 3.0])
+    copy = pickle.loads(pickle.dumps(info.value))
+    assert (str(copy), copy.point, copy.eigenvalues) == (
+        str(info.value), 0, [-1.0, 3.0])
+    # a caller may raise it with a message alone
+    assert MetricNotPositiveDefinite("not SPD").point is None
 
 
 def test_metric_jet_order_contract():

@@ -100,7 +100,7 @@ def test_inside_a_context_a_copy_of_the_batch_reuses_the_monomial_table(monkeypa
 def test_outside_a_context_the_oracle_runs_its_blocks_with_no_memo(monkeypatch, bumpy3):
     # Only the oracle's jet step opens a context.  One around its block loop
     # would hold every block's intermediates until the call returned.
-    monkeypatch.setattr(curvature, "_BLOCK_BYTES", 4 * 8 * 3**4)  # 3 blocks
+    monkeypatch.setattr(fields, "_BLOCK_BYTES", 4 * 8 * 3**4)  # 3 blocks
     memos, memo = [], fields._memo
 
     def recording(*args):
@@ -117,7 +117,7 @@ def test_outside_a_context_the_oracle_runs_its_blocks_with_no_memo(monkeypatch, 
 def test_outside_a_context_the_formula_runs_its_blocks_with_no_memo(monkeypatch, bumpy3):
     # As the oracle: no context around the block loop, which would hold
     # every block's groups until the call returned.
-    monkeypatch.setattr(curvature, "_BLOCK_BYTES", 4 * 8 * 3**4)  # 3 blocks
+    monkeypatch.setattr(fields, "_BLOCK_BYTES", 4 * 8 * 3**4)  # 3 blocks
     spec = random_spec(bumpy3.chart, 35)
     frame = evaluate_spec(bumpy3.chart, bumpy3.metric, spec, bumpy3.chart.sample(10, 36), order=2)
     memos, memo = [], fields._memo
@@ -143,7 +143,7 @@ def test_no_memo_is_left_open_when_an_entry_point_returns(monkeypatch, bumpy2, e
     pts = bumpy2.chart.sample(5, 38)
     frame = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts, order=2)
     if entry == "curvature_formula_blocks":  # 5 points in 3 blocks
-        monkeypatch.setattr(curvature, "_BLOCK_BYTES", 2 * 8 * 2**4)
+        monkeypatch.setattr(fields, "_BLOCK_BYTES", 2 * 8 * 2**4)
     calls = {
         "evaluate_spec": lambda: evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts),
         "curvature_formula": lambda: curvature_formula(frame),
@@ -413,7 +413,7 @@ def test_a_failing_verify_computes_h_once(monkeypatch):
 
 def test_the_formula_keys_its_groups_by_block(monkeypatch, bumpy3):
     # blocks of 4 points: a batch of 10 spans 3, the last one short
-    monkeypatch.setattr(curvature, "_BLOCK_BYTES", 4 * 8 * 3**4)
+    monkeypatch.setattr(fields, "_BLOCK_BYTES", 4 * 8 * 3**4)
     blocks = 3
     spec = random_spec(bumpy3.chart, 33)
     pts = bumpy3.chart.sample(10, 34)
@@ -448,7 +448,7 @@ def test_the_formula_keys_its_groups_by_block(monkeypatch, bumpy3):
 
 def test_the_oracle_keys_its_entries_by_block(monkeypatch, bumpy3):
     # blocks of 4 points: a batch of 10 spans 3, the last one short
-    monkeypatch.setattr(curvature, "_BLOCK_BYTES", 4 * 8 * 3**4)
+    monkeypatch.setattr(fields, "_BLOCK_BYTES", 4 * 8 * 3**4)
     blocks = 3
     spec = random_spec(bumpy3.chart, 33)
     pts = bumpy3.chart.sample(10, 34)

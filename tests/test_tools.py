@@ -1,13 +1,15 @@
-"""Smoke test of ``tools/report_digest.py``, the bit-identity check between
-two trees: its output format, and that its digest is stable and sees the
-batch size.  Also guards on what the benchmark needs of the library, which
-its own tests check only outside this suite: the surface
-``perfbench/tracing.py`` wraps, and the verdict ``perfbench/workloads.py``
-gives each catalogue preset."""
+"""Smoke tests of ``tools/report_digest.py``, the bit-identity check between
+two trees (its output format, and that its digest is stable and sees the
+batch size), and of ``tools/step_peaks.py``, the memory of each step of a
+formula-vs-oracle comparison.  Also guards on what the benchmark needs of
+the library, which its own tests check only outside this suite: the
+surface ``perfbench/tracing.py`` wraps, and the verdict
+``perfbench/workloads.py`` gives each catalogue preset."""
 
 import importlib
 import importlib.util
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -20,6 +22,7 @@ from affconn.cli import cmd_verify, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGEST_SCRIPT = ROOT / "tools" / "report_digest.py"
+STEP_PEAKS_SCRIPT = ROOT / "tools" / "step_peaks.py"
 DIGEST_CONFIGS = sorted((ROOT / "tools" / "digest_configs").glob("*.json"))
 TRACING_MODULE = ROOT / "perfbench" / "tracing.py"
 WORKLOADS_MODULE = ROOT / "perfbench" / "workloads.py"
@@ -75,6 +78,18 @@ def test_report_digest_prints_a_stable_digest_per_config(tmp_path, capsys, repor
     wider = digests("--points", "4")
     assert [name for _, name in wider] == [*paths, "overall"]
     assert all(a != b for (a, _), (b, _) in zip(wider, first))
+
+
+def test_step_peaks_prints_each_compare_step(capsys):
+    step_peaks = load_script("step_peaks", STEP_PEAKS_SCRIPT)
+    assert step_peaks.main(["--n", "2", "bumpy", "20", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["step", "held_mb", "peak_mb"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["frame", "formula", "oracle", "laws", "residual"]
+    values = [float(v) for row in rows for v in row[1:]]
+    assert all(math.isfinite(v) and v >= 0.0 for v in values)
+    assert all(float(peak) >= float(held) for _, held, peak in rows)
 
 
 def test_the_checked_in_digest_configs_verify_clean():
