@@ -269,7 +269,9 @@ class PhiSplit:
     Phi_ij = g(phi d_i, d_j); Phi1/Phi2 are its symmetric and antisymmetric
     parts and phi1/phi2 their g-raisings.  Phi is stored as Phi1 + Phi2 so
     the recomposition identity holds to the bit (it differs from the raw
-    product phi^m_i g_mj by at most one rounding).
+    product phi^m_i g_mj by at most one rounding).  Of the derivatives only
+    the raised ones are kept: the 1-jets of Phi1 and Phi2 are read by
+    ``split_phi`` alone, to build phi1_d1 and phi2_d1.
     """
 
     Phi: np.ndarray  # (m, n, n)
@@ -277,8 +279,6 @@ class PhiSplit:
     Phi2: np.ndarray
     phi1: np.ndarray  # (m, n, n), phi1[p, k, i] = (phi1)^k_i
     phi2: np.ndarray
-    Phi1_d1: np.ndarray  # (m, n, n, n), [p, a, i, j] = d_a (Phi1)_ij
-    Phi2_d1: np.ndarray
     phi1_d1: np.ndarray  # (m, n, n, n), [p, a, k, i] = d_a (phi1)^k_i
     phi2_d1: np.ndarray
 
@@ -310,8 +310,6 @@ def split_phi(phi: Jet, mj: Jet, inv: Jet) -> PhiSplit:
         Phi2=p2,
         phi1=phi1,
         phi2=phi2,
-        Phi1_d1=p1_d1,
-        Phi2_d1=p2_d1,
         phi1_d1=phi1_d1,
         phi2_d1=phi2_d1,
     )

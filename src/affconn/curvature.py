@@ -38,7 +38,7 @@ from .connection import (
     sharp,
 )
 from .fields import (
-    Chart, Jet, _blocks, _evaluation_context, _memo, _whole, batch_zeros, points_last,
+    Chart, Jet, _blocks, _evaluation_context, _memo, _spd_inverse, _whole, batch_zeros,
 )
 from .levi_civita import (
     PointGeometry,
@@ -417,7 +417,9 @@ def curvature_direct(
     evaluation context the intermediates and the five clean H addends are
     memoised under the oracle's own keys (each addend by the bindings it
     reads), and only the raw field jets, with the monomial tables they
-    are computed from, are common to both paths.
+    are computed from, are common to both paths.  The two paths share one
+    routine, not a tensor: g^-1's value comes from ``fields._spd_inverse``
+    on each path, applied here to the block's own metric rows.
     ``corrupt`` doubles a copy of the H addend it names, if any; Gamma~ is
     summed in a fixed order into fresh buffers, so no memoised value is written.
 
@@ -452,7 +454,7 @@ def curvature_direct(
             return _memo(kind, (*fields, metric_field), pts, order, compute)
 
         def inverse():
-            ginv_v = points_last(np.linalg.inv(g.comp))
+            ginv_v = _spd_inverse(g.comp)
             dg_ginv = np.einsum("pkim,pmj->pkij", g.d1, ginv_v)
             return Jet(ginv_v, -np.einsum("pim,pkmj->pkij", ginv_v, dg_ginv))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import JetOrderUnsupported
-from .fields import Chart, Jet, _read_only, points_last
+from .fields import Chart, Jet, _read_only, _spd_inverse
 
 __all__ = [
     "CurvatureComponents",
@@ -55,14 +55,15 @@ class RicciData:
 
 def inverse_metric(mj: Jet) -> Jet:
     """Pointwise inverse via d(g^-1) = -g^-1 (dg) g^-1, each product of
-    three as two two-operand einsums.  ``np.linalg.inv`` returns
-    points-first, so its result is re-laid points-last once, and every
-    einsum after it keeps that layout.
+    three as two two-operand einsums.  g^-1 itself comes from
+    ``fields._spd_inverse``, stored points-last, and every einsum after it
+    keeps that layout.  ``mj`` is a metric field's jet, so its values passed
+    ``_spd_check``, the inverse's contract, when it was made.
 
     d1 is built at every metric order.  d2 is built only when the metric
     jet has d3: its one reader is the second derivative of Christoffel,
     which needs d3 too, so at order 2 it would never be read."""
-    ginv = points_last(np.linalg.inv(mj.comp))
+    ginv = _spd_inverse(mj.comp)
     ginv_dg = np.einsum("pim,pamj->paij", ginv, mj.d1)  # g^-1 (d_a g)
     d1 = -np.einsum("paim,pmj->paij", ginv_dg, ginv)
     d2 = None

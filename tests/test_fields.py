@@ -695,6 +695,165 @@ def test_the_spd_error_carries_its_point_and_pickles():
     assert MetricNotPositiveDefinite("not SPD").point is None
 
 
+def eigenvalue_verdict(comp):
+    """The SPD check as the eigenvalue test alone decides it: None, or the
+    message and fields of the error it raises (``eigvalsh`` itself raises
+    on some non-finite matrices)."""
+    try:
+        w = np.linalg.eigvalsh(comp)
+    except np.linalg.LinAlgError as exc:
+        return "LinAlgError", str(exc)
+    bad = w[:, 0] <= fields._SPD_RATIO * np.abs(w[:, -1])
+    if not bad.any():
+        return None
+    p = int(np.argmax(bad))
+    return (f"metric eigenvalues {w[p].tolist()} fail the SPD check at point index {p}",
+            p, w[p].tolist())
+
+
+def screened_verdict(comp):
+    """(whether ``_spd_check`` decided without ``eigvalsh``, its verdict in
+    the form of ``eigenvalue_verdict``)."""
+    calls = []
+    real = np.linalg.eigvalsh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or real(a))
+        try:
+            fields._spd_check(comp)
+            verdict = None
+        except MetricNotPositiveDefinite as exc:
+            verdict = (str(exc), exc.point, exc.eigenvalues)
+        except np.linalg.LinAlgError as exc:
+            verdict = ("LinAlgError", str(exc))
+    return not calls, verdict
+
+
+def tight_gershgorin(n, delta, rng):
+    """An n x n symmetric matrix whose least eigenvalue, delta * scale, is
+    its Gershgorin lower bound: diagonal 1, off-diagonals -(1 - delta)/(n - 1),
+    under a random signed permutation and a random positive scale."""
+    a = np.full((n, n), -(1.0 - delta) / max(n - 1, 1))
+    np.fill_diagonal(a, 1.0)
+    signs = rng.choice([-1.0, 1.0], size=n)
+    perm = rng.permutation(n)
+    a = (signs[:, None] * a * signs[None, :])[np.ix_(perm, perm)]
+    return a * 10.0 ** rng.uniform(-3, 3)
+
+
+def spd_cases(n, rng):
+    """(kind, matrix) pairs: near the SPD boundary (least / greatest
+    eigenvalue from half the check's ratio to four times it), diagonally
+    dominant, SPD but not diagonally dominant, and matrices that fail."""
+    r = fields._SPD_RATIO
+    cases = []
+    for ratio in np.geomspace(r / 2, 4 * r, 24):
+        w = np.r_[1.0, rng.uniform(ratio, 1.0, max(n - 2, 0)), ratio][-n:]
+        cases.append(("near_diagonal", np.diag(rng.permutation(w) * 10.0 ** rng.uniform(-3, 3))))
+        cases.append(("near_tight", tight_gershgorin(n, 2 * ratio, rng)))
+    for _ in range(8):
+        x = rng.standard_normal((n, n))
+        dominant = 0.1 * (x + x.T) / n + np.diag(rng.uniform(1.0, 2.0, n))
+        cases.append(("dominant", dominant))
+        q, _ = np.linalg.qr(x)
+        spd = q @ np.diag(rng.uniform(0.1, 1.0, n)) @ q.T
+        cases.append(("spd", 0.5 * (spd + spd.T)))
+        cases.append(("indefinite", 0.5 * (x + x.T) - np.eye(n) * np.abs(x).sum()))
+    if n > 1:
+        # L L^T for L the lower triangle of ones: entry (i, j) is min(i, j) + 1,
+        # so row 0 has diagonal 1 and off-diagonal sum n - 1
+        ones = np.tril(np.ones((n, n)))
+        cases.append(("spd_not_dominant", ones @ ones.T))
+        cases.append(("singular", np.ones((n, n))))
+    cases.append(("singular", np.zeros((n, n))))
+    for bad in (np.nan, np.inf, -np.inf):
+        for slot in ((0, 0), (0, n - 1)):
+            a = np.eye(n)
+            a[slot] = a[slot[::-1]] = bad
+            cases.append(("nonfinite", a))
+    return cases
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_gershgorin_screen_clears_only_what_the_eigenvalue_test_passes(n):
+    """Whatever the screen clears passes the eigenvalue test, and a matrix
+    it does not clear gets the eigenvalue test's own verdict, message and
+    point; SPD matrices that are not diagonally dominant fall back and
+    pass."""
+    rng = np.random.default_rng(100 + n)
+    cleared = {}
+    for kind, a in spd_cases(n, rng):
+        comp = fields.points_last(a[None])
+        screen, verdict = screened_verdict(comp)
+        expected = eigenvalue_verdict(comp)
+        assert verdict == expected, (kind, a)
+        if screen:
+            assert expected is None, (kind, a)
+        cleared.setdefault(kind, set()).add(screen)
+    # the cases reach both sides of the screen where they should (a 1 x 1
+    # matrix has no boundary but its sign)
+    assert cleared["dominant"] == {True}
+    assert cleared["indefinite"] == cleared["singular"] == cleared["nonfinite"] == {False}
+    if n > 1:
+        assert cleared["near_diagonal"] == cleared["near_tight"] == {True, False}
+        assert cleared["spd_not_dominant"] == {False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_a_bad_point_after_cleared_points_keeps_its_message(n):
+    rng = np.random.default_rng(n)
+    batch = np.repeat(np.eye(n)[None], 40, axis=0) * rng.uniform(1, 2, (40, 1, 1))
+    for bad_at in (0, 17, 39):
+        comp = batch.copy()
+        comp[bad_at] = -np.eye(n) if n == 1 else np.ones((n, n))
+        comp[bad_at + 1:] = np.eye(n)  # points after the bad one are cleared too
+        comp = fields.points_last(comp)
+        screen, verdict = screened_verdict(comp)
+        assert not screen
+        assert verdict == eigenvalue_verdict(comp)
+        assert verdict[1] == bad_at and f"at point index {bad_at}" in verdict[0]
+    # through a metric field: [[1, x], [x, 1]] is indefinite where |x| > 1
+    x = PolynomialExpr(2, {(1, 0): 1.0})
+    one = PolynomialExpr(2, {(0, 0): 1.0})
+    metric = PolynomialMetricField(2, [[one, x], [x, one]])
+    pts = np.column_stack([np.linspace(-0.5, 0.5, 12), np.zeros(12)])
+    pts[9, 0] = 1.5
+    with pytest.raises(MetricNotPositiveDefinite) as info:
+        metric.jet(pts, 1)
+    w = np.linalg.eigvalsh(np.array([[1.0, 1.5], [1.5, 1.0]])).tolist()
+    assert (info.value.point, info.value.eigenvalues) == (9, w)
+    assert str(info.value) == f"metric eigenvalues {w} fail the SPD check at point index 9"
+
+
+def random_spd_batch(m, n, cond, rng):
+    """m symmetric positive definite n x n matrices of condition number
+    ``cond``, each with its own random eigenbasis."""
+    q, _ = np.linalg.qr(rng.standard_normal((m, n, n)))
+    w = np.geomspace(1.0, 1.0 / cond, n) * 10.0 ** rng.uniform(-2, 2, (m, 1))
+    a = np.einsum("pij,pj,pkj->pik", q, w, q)
+    return fields.points_last(0.5 * (a + a.swapaxes(1, 2)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("cond", [10.0, 1e3, 1e8])
+def test_the_spd_inverse_matches_lapack_within_its_rounding_bound(n, cond):
+    eps = np.finfo(float).eps
+    comp = random_spd_batch(300, n, cond, np.random.default_rng(n))
+    got = fields._spd_inverse(comp)
+    want = np.linalg.inv(comp)
+    err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert err.max() <= 10 * n * eps * cond
+    assert got.strides[0] == got.itemsize  # points-last
+    assert not np.shares_memory(got, comp)
+
+
+def test_the_spd_inverse_of_a_diagonal_is_its_reciprocals():
+    rng = np.random.default_rng(0)
+    for n in range(1, 9):
+        d = 10.0 ** rng.uniform(-5, 5, (50, n))
+        got = fields._spd_inverse(fields.points_last(np.einsum("pi,ij->pij", d, np.eye(n))))
+        assert same_bits(got, np.einsum("pi,ij->pij", 1.0 / d, np.eye(n)))
+
+
 def test_metric_jet_order_contract():
     m = ConstantMetricField(2)
     pts = np.zeros((1, 2))

@@ -240,7 +240,7 @@ def test_an_in_place_write_into_a_cached_array_raises(bumpy2):
         cached = [
             frame.u.comp, frame.u.d1, frame.f1.value, frame.f1.grad, frame.phi.d1,
             frame.geo.metric.d2, frame.geo.inv.d1, frame.geo.gamma, frame.geo.riemann.r,
-            frame.split.phi1, frame.split.Phi1_d1, frame.u_sharp.comp, frame.u2_sharp.d1,
+            frame.split.phi1, frame.split.phi1_d1, frame.u_sharp.comp, frame.u2_sharp.d1,
         ]
         for arr in cached:
             with pytest.raises(ValueError, match="read-only"):

@@ -1,28 +1,33 @@
 """Smoke tests of ``tools/report_digest.py``, the bit-identity check between
 two trees (its output format, and that its digest is stable and sees the
-batch size), and of ``tools/step_peaks.py``, the memory of each step of a
-formula-vs-oracle comparison.  Also guards on what the benchmark needs of
+batch size), of ``tools/step_peaks.py``, the memory and page faults of
+each step of a formula-vs-oracle comparison, and of ``tools/interleave.py``,
+the in-process A/B of two trees.  Also guards on what the benchmark needs of
 the library, which its own tests check only outside this suite: the
-surface ``perfbench/tracing.py`` wraps, and the verdict
-``perfbench/workloads.py`` gives each catalogue preset."""
+surface ``perfbench/tracing.py`` wraps, the verdict
+``perfbench/workloads.py`` gives each catalogue preset, and that no pass of
+a workload calls ``np.linalg.inv`` or ``eigvalsh``."""
 
 import importlib
 import importlib.util
 import json
 import math
 import re
+import shutil
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from affconn import list_cases, preset_manifold
+from affconn import curvature, levi_civita, list_cases, preset_manifold
 from affconn.cli import cmd_verify, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGEST_SCRIPT = ROOT / "tools" / "report_digest.py"
 STEP_PEAKS_SCRIPT = ROOT / "tools" / "step_peaks.py"
+INTERLEAVE_SCRIPT = ROOT / "tools" / "interleave.py"
 DIGEST_CONFIGS = sorted((ROOT / "tools" / "digest_configs").glob("*.json"))
 TRACING_MODULE = ROOT / "perfbench" / "tracing.py"
 WORKLOADS_MODULE = ROOT / "perfbench" / "workloads.py"
@@ -84,19 +89,56 @@ def test_step_peaks_prints_each_compare_step(capsys):
     step_peaks = load_script("step_peaks", STEP_PEAKS_SCRIPT)
     assert step_peaks.main(["--n", "2", "bumpy", "20", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["step", "held_mb", "peak_mb"]
+    assert lines[0].split() == ["step", "held_mb", "peak_mb", "minflt", "sys_ms"]
     rows = [line.split() for line in lines[1:]]
     assert [row[0] for row in rows] == ["frame", "formula", "oracle", "laws", "residual"]
     values = [float(v) for row in rows for v in row[1:]]
     assert all(math.isfinite(v) and v >= 0.0 for v in values)
-    assert all(float(peak) >= float(held) for _, held, peak in rows)
+    assert all(float(peak) >= float(held) for _, held, peak, _, _ in rows)
+    assert all(int(minflt) >= 0 for _, _, _, minflt, _ in rows)
 
 
-def test_the_checked_in_digest_configs_verify_clean():
+def test_interleave_runs_the_tree_against_a_copy_of_itself(tmp_path):
+    interleave = load_script("interleave", INTERLEAVE_SCRIPT)
+    copy = tmp_path / "copy"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, copy / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    before = {name: mod for name, mod in sys.modules.items() if name.startswith("affconn")}
+    result = interleave.interleave(copy, ROOT, "verify_cli", 2, 3, tmp_path / "out")
+    # the caller's own affconn modules are back in place
+    assert before == {n: m for n, m in sys.modules.items() if n.startswith("affconn")}
+    assert {key: result[key] for key in ("workload", "seed", "rounds")} == {
+        "workload": "verify_cli", "seed": 3, "rounds": 2}
+    for side in ("parent", "change"):
+        stats = result["pass_s"][side]
+        assert 0.0 < stats["q1"] <= stats["median"] <= stats["q3"]
+    assert result["ratio"] == result["pass_s"]["change"]["median"] / (
+        result["pass_s"]["parent"]["median"])
+    assert result["change_won"] in (0, 1, 2)
+    assert not list((tmp_path / "out").rglob("*.json"))  # the configs are removed
+    wrong = SimpleNamespace(run=lambda: 1, check=lambda result: "wrong")
+    with pytest.raises(interleave.FailedVerdict, match="wrong"):
+        interleave.timed_pass([wrong])
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """``np.linalg.inv`` and ``eigvalsh`` raise: the SPD screen and the
+    Gauss-Jordan inverse must leave every call of them out."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-matrix LAPACK call was made")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+def test_the_checked_in_digest_configs_verify_clean(no_lapack):
     """The configs the same-bits check runs on (README, "Tests"): raw bumpy
     n = 2, 3, 4, a Ricci-operator case and case 17, each with a sampler so
     that ``--points`` applies.  No digest is pinned: a change that moves
-    bits on purpose changes them."""
+    bits on purpose changes them.  No LAPACK call is made on the way."""
     assert [path.name for path in DIGEST_CONFIGS] == [
         "case17_sphere2.json", "case2_bumpy3.json",
         "raw_bumpy2.json", "raw_bumpy3.json", "raw_bumpy4.json",
@@ -132,3 +174,33 @@ def test_every_catalogue_preset_passes_the_benchmark_verdict():
     for k, preset in enumerate(list_cases()):
         op = workloads.preset_op(man, preset, rng, 100 + k, main=True)
         assert op.check(op.run()) is None, preset.id
+
+
+def test_no_benchmark_pass_calls_lapack(no_lapack, tmp_path):
+    """One pass of each perfbench workload, verdicts included, with neither
+    ``np.linalg.inv`` nor ``eigvalsh`` available."""
+    workloads = load_script("workloads", WORKLOADS_MODULE)
+    for name in workloads.WORKLOADS:
+        workload = workloads.build(name, 104729, tmp_path)
+        try:
+            for op in workload.ops:
+                assert op.check(op.run()) is None, (name, op.kind)
+        finally:
+            workload.close()
+
+
+def test_a_fault_in_the_shared_inverse_fails_verify(monkeypatch):
+    """Both paths invert the metric with ``fields._spd_inverse``; a 1e-9
+    relative fault in it still fails the laws of a raw config."""
+    inverse = levi_civita._spd_inverse
+
+    def faulty(comp):
+        return inverse(comp) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(levi_civita, "_spd_inverse", faulty)
+    monkeypatch.setattr(curvature, "_spd_inverse", faulty)
+    path = ROOT / "tools" / "digest_configs" / "raw_bumpy3.json"
+    code, report = cmd_verify(parse_config(path.read_text(encoding="utf-8")))
+    assert code == 1 and not report["pass"]
+    failed = {row["check"] for row in report["checks"] if not row["pass"]}
+    assert "torsion_law" in failed and "metricity_law" in failed

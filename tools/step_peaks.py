@@ -1,4 +1,4 @@
-"""The tracemalloc memory of each step of one formula-vs-oracle comparison.
+"""The memory and page faults of each step of one formula-vs-oracle comparison.
 
     PYTHONPATH=src python tools/step_peaks.py [--n N] PRESET M SEED
 
@@ -8,10 +8,16 @@ The steps are those of the compare operation in ``perfbench/workloads.py``
 module's own ``_laws``: the torsion and metricity tensors, direct and
 predicted, and their residuals) and ``residual`` (``norm_residual`` of the
 two curvatures).  Each step's result is kept until the end, as the
-operation keeps it.  For each step this prints the MB still held when it
-returns and the peak MB during it, both counted from the start of the
-frame step.  One untraced run first plans every jet, so the table shows a
-warm operation.
+operation keeps it.  For each step this prints the ``tracemalloc`` MB
+still held when it returns and the peak MB during it, both counted from
+the start of the frame step, then the minor page faults and the system
+CPU milliseconds of the step (``getrusage``).  One untraced run first
+plans every jet, so the table shows a warm operation.  The faults are
+counted on one more run, made after the traced run's results are
+dropped, as perfbench's worker drops each operation's: memory the
+allocator gave back to the system between operations is faulted in
+again.  The kernel may count system time in scheduler ticks, so a short
+step can read 0.
 
 PRESET is a manifold preset; ``--n`` (default 4) sets the dimension of
 ``bumpy`` and ``euclidean``.  SEED draws the bumpy metric, a
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import resource
 import sys
 import tracemalloc
 from pathlib import Path
@@ -76,8 +83,14 @@ def compare_op(man, spec, pts, laws_of, step=lambda name: None):
     return total, direct, laws, residual
 
 
+def _usage() -> tuple:
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_minflt, usage.ru_stime
+
+
 def step_peaks(preset: str, m: int, seed: int, n: int = 4) -> list:
-    """(step, held MB, peak MB) for each step of one warm compare operation."""
+    """(step, held MB, peak MB, minor faults, system ms) for each step of one
+    warm compare operation."""
     metric_seed, spec_seed, pts_seed = (
         int(s) for s in np.random.default_rng(seed).integers(0, 2**31, size=3))
     man = preset_manifold(preset, manifold_params(preset, n, metric_seed))
@@ -97,7 +110,10 @@ def step_peaks(preset: str, m: int, seed: int, n: int = 4) -> list:
         compare_op(man, spec, pts, laws_of, step)
     finally:
         tracemalloc.stop()
-    return rows
+    marks = [_usage()]
+    compare_op(man, spec, pts, laws_of, lambda name: marks.append(_usage()))
+    return [row + (now[0] - last[0], (now[1] - last[1]) * 1000.0)
+            for row, last, now in zip(rows, marks, marks[1:])]
 
 
 def main(argv: list[str]) -> int:
@@ -108,9 +124,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("m", type=int)
     parser.add_argument("seed", type=int)
     args = parser.parse_args(argv)
-    print(f"{'step':<10}{'held_mb':>9}{'peak_mb':>9}")
-    for name, now, peak in step_peaks(args.preset, args.m, args.seed, args.n):
-        print(f"{name:<10}{now:>9.1f}{peak:>9.1f}")
+    print(f"{'step':<10}{'held_mb':>9}{'peak_mb':>9}{'minflt':>9}{'sys_ms':>9}")
+    for name, now, peak, minflt, sys_ms in step_peaks(args.preset, args.m, args.seed, args.n):
+        print(f"{name:<10}{now:>9.1f}{peak:>9.1f}{minflt:>9d}{sys_ms:>9.1f}")
     return 0
 
 
