@@ -655,7 +655,7 @@ def case_rows(preset: CasePreset, frame, run) -> list:
         eye = np.eye(frame.geo.n)
         s_skew = s - s.swapaxes(1, 2)
         reduced = (
-            frame.geo.riemann.r
+            frame.geo.riemann_rows()
             + np.einsum("pik,lj->plijk", s, eye, order="F")
             - np.einsum("pjk,li->plijk", s, eye, order="F")
             + np.einsum("pij,lk->plijk", s_skew, eye, order="F")

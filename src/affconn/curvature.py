@@ -40,14 +40,7 @@ from .connection import (
 from .fields import (
     Chart, Jet, _blocks, _evaluation_context, _memo, _spd_inverse, _whole, batch_zeros,
 )
-from .levi_civita import (
-    PointGeometry,
-    christoffel,
-    cov_deriv_endo,
-    cov_deriv_oneform,
-    cov_deriv_vector,
-    riemann,
-)
+from .levi_civita import PointGeometry, cov_deriv_endo, cov_deriv_oneform, cov_deriv_vector
 
 __all__ = [
     "GROUPS",
@@ -184,10 +177,9 @@ def curvature_formula(frame: PointFrame) -> tuple[np.ndarray, Mapping]:
     at a time.  The helpers of rank at most 4 (beta/alpha of u, u1 and u2, mu,
     nabla phi2, 2du, 2du1, the f1 recurrence) are built once per call on the
     whole batch, when a group first needs them.  The ``riemann`` group is
-    Levi-Civita R built in its block from the block's rows of the metric's
-    2-jet, the inverse's 1-jet and ``geo.gamma``, the arithmetic of
-    ``geo.riemann`` point by point, so neither the call nor the geometry
-    holds a whole-batch Christoffel 1-jet or R.
+    ``geo.riemann_rows`` in its block, Levi-Civita R from the block's rows of
+    the metric's 2-jet, the inverse's 1-jet and ``geo.gamma``, so neither
+    the call nor the geometry holds a whole-batch Christoffel 1-jet or R.
 
     Each group, the beta/alpha helpers and the f1 recurrence are memoised
     (``fields._memo``), read-only, by the frame's jets of the bindings they
@@ -325,12 +317,7 @@ def curvature_formula(frame: PointFrame) -> tuple[np.ndarray, Mapping]:
         return _minus_swap(np.einsum("pj,pik,pl->plijk", at(gf2), at(g), at(big_u2)))
 
     formulas = {
-        # Levi-Civita R from the block's metric and inverse jets and Gamma:
-        # no whole-batch derivative of Gamma or R is kept on the geometry
-        "riemann": lambda at: riemann(christoffel(
-            Jet(*map(at, geo.metric.levels[:3])), Jet(*map(at, geo.inv.levels[:2])),
-            at(geo.gamma),
-        )).r,
+        "riemann": geo.riemann_rows,
         "du_phi2": du_phi2,
         "alpha_phi1": alpha_phi1,
         "a_phi1": a_phi1,

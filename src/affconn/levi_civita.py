@@ -22,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import JetOrderUnsupported
-from .fields import Chart, Jet, _read_only, _spd_inverse
+from .fields import Chart, Jet, _blocks, _read_only, _spd_inverse, _whole, batch_zeros
 
 __all__ = [
-    "CurvatureComponents",
     "RicciData",
     "inverse_metric",
     "christoffel",
@@ -39,11 +37,6 @@ __all__ = [
     "cov_deriv",
     "PointGeometry",
 ]
-
-
-@dataclass(frozen=True)
-class CurvatureComponents:
-    r: np.ndarray  # (m, n, n, n, n), r[p, l, i, j, k]
 
 
 @dataclass(frozen=True)
@@ -130,11 +123,12 @@ def _riemann_half(gamma: np.ndarray, gamma_d1: np.ndarray) -> np.ndarray:
     )
 
 
-def riemann(cj: Jet) -> CurvatureComponents:
-    """Curvature of the connection; antisymmetric in (i, j) exactly."""
+def riemann(cj: Jet) -> np.ndarray:
+    """Curvature of the connection, r[p, l, i, j, k]; antisymmetric in
+    (i, j) exactly."""
     cj.require_order(1, "riemann")
     half = _riemann_half(cj.comp, cj.d1)
-    return CurvatureComponents(r=half - half.swapaxes(2, 3))
+    return half - half.swapaxes(2, 3)
 
 
 def riemann_d1(cj: Jet) -> np.ndarray:
@@ -148,18 +142,13 @@ def riemann_d1(cj: Jet) -> np.ndarray:
     return half - half.swapaxes(3, 4)
 
 
-def ricci_data(
-    cc: CurvatureComponents,
-    inv: Jet,
-    cj: Jet | None = None,
-    with_d1: bool = False,
-) -> RicciData:
-    s = np.einsum("pmmjk->pjk", cc.r)
+def ricci_data(cj: Jet, inv: Jet) -> RicciData:
+    """S and Q from the Christoffel jet ``cj`` and the inverse metric's jet
+    on the same points; Q's 1-jet too exactly when ``cj`` has d2."""
+    s = np.einsum("pmmjk->pjk", riemann(cj))
     q = np.einsum("pim,pmj->pij", inv.comp, s)
     q_d1 = None
-    if with_d1:
-        if cj is None or inv.d1 is None:
-            raise JetOrderUnsupported("q_d1 needs Christoffel and inverse-metric jets")
+    if cj.d2 is not None:
         s_d1 = np.einsum("pammjk->pajk", riemann_d1(cj))
         q_d1 = np.einsum("paim,pmj->paij", inv.d1, s) + np.einsum(
             "pim,pamj->paij", inv.comp, s_d1
@@ -208,11 +197,13 @@ class PointGeometry:
     serve a whole run (see ``fields._memo``).
 
     ``gamma``, the symbols alone, is what the connection and the curvature
-    formula read.  ``christoffel`` (with its derivatives), ``riemann`` and
-    ``ricci`` are whole-batch rank-5 arrays at order 2, held for the
-    geometry's life; only a geometry-derived phi and case 17 read them.  The
-    formula builds R block by block from the metric and inverse jets and
-    ``gamma`` instead (``curvature.curvature_formula``).
+    formula read.  ``christoffel_rows`` is Gamma's jet on one point block,
+    from that block's rows of the metric and inverse jets and ``gamma``;
+    ``riemann_rows`` is Levi-Civita R of it, which the formula's ``riemann``
+    group and case 17 read.  ``ricci``, read only by a geometry-derived phi,
+    runs the ``fields._blocks`` loop over the same jet at the geometry's
+    order.  So the geometry holds no whole-batch derivative of Gamma and no
+    R; of the curvature it keeps only S, Q and Q's 1-jet.
     """
 
     def __init__(self, chart: Chart, metric, pts, order: int = 1):
@@ -228,19 +219,32 @@ class PointGeometry:
     def inv(self) -> Jet:
         return _read_only(inverse_metric(self.metric))
 
-    @cached_property
-    def christoffel(self) -> Jet:
-        return _read_only(christoffel(self.metric, self.inv, self.gamma))
+    def christoffel_rows(self, at, order: int) -> Jet:
+        """Gamma's jet to d(order - 1) on the rows ``at`` takes (see
+        ``fields._blocks``), from those rows of the metric's ``order``-jet,
+        the inverse's and ``gamma``."""
+        return christoffel(
+            Jet(*map(at, self.metric.levels[: order + 1])),
+            Jet(*map(at, self.inv.levels[:order])),
+            at(self.gamma),
+        )
 
-    @cached_property
-    def riemann(self) -> CurvatureComponents:
-        return _read_only(riemann(self.christoffel))
+    def riemann_rows(self, at=_whole) -> np.ndarray:
+        """Levi-Civita R on the rows ``at`` takes, r[p, l, i, j, k]."""
+        return riemann(self.christoffel_rows(at, 2))
 
     @cached_property
     def ricci(self) -> RicciData:
-        return _read_only(ricci_data(
-            self.riemann, self.inv, self.christoffel, with_d1=self.order >= 3
-        ))
+        n = self.n
+        out = {"s": batch_zeros(self.m, (n, n)), "q": batch_zeros(self.m, (n, n))}
+        if self.order >= 3:
+            out["q_d1"] = batch_zeros(self.m, (n, n, n))
+        for at in _blocks(self.m, n**4):
+            rows = ricci_data(
+                self.christoffel_rows(at, self.order), Jet(*map(at, self.inv.levels)))
+            for name, buf in out.items():
+                at(buf)[...] = getattr(rows, name)
+        return _read_only(RicciData(**out))
 
     @property
     def g(self) -> np.ndarray:
@@ -253,5 +257,5 @@ class PointGeometry:
     @cached_property
     def gamma(self) -> np.ndarray:
         """Gamma^k_ij from the metric's value and d1 only, so reading it
-        builds no derivative of Gamma; ``christoffel`` reuses it."""
+        builds no derivative of Gamma; ``christoffel_rows`` reuses it."""
         return _read_only(christoffel(Jet(*self.metric.levels[:2]), self.inv).comp)

@@ -109,8 +109,8 @@ def test_criterion_03_zero_spec_degenerates_to_levi_civita():
         ]
         r_formula, _ = curvature_formula(frame)
         r_direct = curvature_direct(man.chart, man.metric, spec, pts)
-        checks.append(norm_residual(r_formula, frame.geo.riemann.r))
-        checks.append(norm_residual(r_direct, frame.geo.riemann.r))
+        checks.append(norm_residual(r_formula, frame.geo.riemann_rows()))
+        checks.append(norm_residual(r_direct, frame.geo.riemann_rows()))
         worst = max(worst, max(checks))
     print(f"\n  worst degeneration residual {worst:.3e}")
     assert worst < 1e-12
@@ -218,7 +218,7 @@ def test_criterion_07_curvature_formula_matches_direct_oracle():
 def test_criterion_08_baseline_geometry():
     sphere = preset_manifold("sphere2", {"r": 1.0})
     geo = PointGeometry(sphere.chart, sphere.metric, sphere.chart.sample(40, 8), order=2)
-    g, r = geo.g, geo.riemann.r
+    g, r = geo.g, geo.riemann_rows()
     rlow = np.einsum("plijk,plm->pmijk", r, g)
     den = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
     k_sphere = rlow[:, 0, 0, 1, 1] / den
@@ -226,7 +226,7 @@ def test_criterion_08_baseline_geometry():
 
     half = preset_manifold("half_plane", {"k": 1.0})
     geo_h = PointGeometry(half.chart, half.metric, half.chart.sample(40, 9), order=2)
-    g, r = geo_h.g, geo_h.riemann.r
+    g, r = geo_h.g, geo_h.riemann_rows()
     rlow = np.einsum("plijk,plm->pmijk", r, g)
     den = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
     k_half = rlow[:, 0, 0, 1, 1] / den

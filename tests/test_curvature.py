@@ -117,10 +117,10 @@ def test_zero_spec_reduces_to_levi_civita_curvature(bumpy2):
     pts = bumpy2.chart.sample(6, 3)
     frame = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts, order=2)
     r, groups = curvature_formula(frame)
-    assert norm_residual(r, frame.geo.riemann.r) < 1e-15
+    assert norm_residual(r, frame.geo.riemann_rows()) < 1e-15
     assert all(np.all(groups[name] == 0.0) for name in GROUPS if name != "riemann")
     direct = curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts)
-    assert norm_residual(direct, frame.geo.riemann.r) < 1e-12
+    assert norm_residual(direct, frame.geo.riemann_rows()) < 1e-12
 
 
 def test_identity_phi_fixture_activates_only_its_groups():
@@ -251,7 +251,7 @@ def test_one_einsum_per_swapped_pair_keeps_every_bit(name, params):
     spec = random_spec(man.chart, 41)
     frame = evaluate_spec(man.chart, man.metric, spec, man.chart.sample(256, 42), order=2)
     total, groups = curvature_formula(frame)
-    expected = {"riemann": frame.geo.riemann.r} | display_line_groups(frame)
+    expected = {"riemann": frame.geo.riemann_rows()} | display_line_groups(frame)
     assert all(same_bits(groups[group], expected[group]) for group in GROUPS)
     expected_total = np.zeros_like(total)
     for group in GROUPS:
@@ -344,11 +344,13 @@ def test_formula_blocks_keep_every_bit(monkeypatch, name):
     # As the oracle's: one point per block, 7 and one block must agree bit
     # for bit with the default.  A read group is the whole batch's, each
     # term its own einsum, and the groups sum to the total in GROUPS order.
+    # The Ricci data a fresh frame's phi is built from keeps every bit too.
     man, spec, pts = oracle_input(name)
     n = man.chart.n
     order = needed_order(spec)
     frame = evaluate_spec(man.chart, man.metric, spec, pts, order=order)
-    expected = {"riemann": frame.geo.riemann.r} | display_line_groups(frame)
+    expected = {"riemann": frame.geo.riemann_rows()} | display_line_groups(frame)
+    ricci = frame.geo.ricci if name == "ricci" else None
     corruptions = [None]
     if name == "bumpy3":
         corruptions += [Corruption(term) for term in GROUPS]
@@ -368,6 +370,10 @@ def test_formula_blocks_keep_every_bit(monkeypatch, name):
             assert_block_count(len(pts), n, block_bytes)
             blocked, _ = curvature_formula(frame)
             assert same_bits(blocked, default), (corrupt, block_bytes)
+            if ricci is not None:
+                fresh = evaluate_spec(man.chart, man.metric, spec, pts, order=order).geo.ricci
+                for part in ("s", "q", "q_d1"):
+                    assert same_bits(getattr(fresh, part), getattr(ricci, part)), block_bytes
         monkeypatch.undo()
 
 
@@ -400,6 +406,22 @@ def test_the_formula_leaves_no_whole_batch_levi_civita_curvature():
     # the total and the geometry's symbols, a quarter of it at n = 4
     assert held <= 1.5 * total.nbytes, held / total.nbytes
     assert not {"christoffel", "riemann"} & set(vars(frame.geo))
+
+
+def test_the_ricci_step_holds_no_whole_batch_rank_5_or_6_array():
+    # 14x one rank-5 array when the step built the Christoffel 2-jet, R and
+    # dR of the whole batch
+    man = preset_manifold("bumpy", {"n": 4, "eps": 0.05, "seed": 13})
+    geo = levi_civita.PointGeometry(man.chart, man.metric, man.chart.sample(2000, 48), order=3)
+    geo.inv, geo.gamma  # whole-batch jets the step reads, of rank 5 at most
+    tracemalloc.start()
+    try:
+        geo.ricci
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rank5 = 2000 * 4**4 * 8
+    assert peak <= 2 * rank5, peak / rank5
 
 
 def test_a_caller_keeping_groups_holds_no_helper():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from affconn import JetOrderUnsupported, PolynomialOneFormField, random_polynomial
-from affconn.fields import PolynomialEndoField, PolynomialExpr
+from affconn.cases import RicciOperatorEndoField
+from affconn.fields import PolynomialEndoField, PolynomialExpr, _whole
 from affconn.levi_civita import (
     PointGeometry,
     christoffel,
@@ -26,7 +27,7 @@ def geometry(man, count, seed, order=2):
 
 
 def sectional_k(geo):
-    r, g = geo.riemann.r, geo.g
+    r, g = geo.riemann_rows(), geo.g
     rlow = np.einsum("plijk,plm->pmijk", r, g)
     den = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
     return rlow[:, 0, 0, 1, 1] / den
@@ -37,7 +38,7 @@ def sectional_k(geo):
 def test_flat_space_has_no_connection_or_curvature(flat3):
     geo, _ = geometry(flat3, 4, 0)
     assert np.all(geo.gamma == 0.0)
-    assert np.all(geo.riemann.r == 0.0)
+    assert np.all(geo.riemann_rows() == 0.0)
     assert np.all(geo.ricci.s == 0.0)
     assert np.all(geo.ricci.q == 0.0)
 
@@ -118,16 +119,16 @@ def test_christoffel_jet_order_gates(bumpy2):
 def test_riemann_antisymmetry_and_derivative(bumpy2):
     pts = bumpy2.chart.sample(4, 9)
     cj = christoffel(bumpy2.metric.jet(pts, 3))
-    cc = riemann(cj)
-    assert np.array_equal(cc.r, -cc.r.swapaxes(2, 3))  # exact by construction
+    r = riemann(cj)
+    assert np.array_equal(r, -r.swapaxes(2, 3))  # exact by construction
     rd1 = riemann_d1(cj)
-    fd = central_diff(lambda q: riemann(christoffel(bumpy2.metric.jet(q, 2))).r, pts)
+    fd = central_diff(lambda q: riemann(christoffel(bumpy2.metric.jet(q, 2))), pts)
     assert rel_err(rd1, fd) < 1e-7
 
 
 def test_first_bianchi_identity(bumpy3):
     geo, _ = geometry(bumpy3, 6, 10)
-    r = geo.riemann.r
+    r = geo.riemann_rows()
     cyc = r + np.einsum("pljki->plijk", r) + np.einsum("plkij->plijk", r)
     assert np.max(np.abs(cyc)) < 1e-12
 
@@ -135,7 +136,7 @@ def test_first_bianchi_identity(bumpy3):
 def test_lowered_curvature_pair_antisymmetry(bumpy3):
     # metric compatibility: g(R(X,Y)Z, W) = -g(R(X,Y)W, Z)
     geo, _ = geometry(bumpy3, 6, 11)
-    rlow = np.einsum("plijk,plm->pijkm", geo.riemann.r, geo.g)
+    rlow = np.einsum("plijk,plm->pijkm", geo.riemann_rows(), geo.g)
     assert np.max(np.abs(rlow + rlow.swapaxes(3, 4))) < 1e-12
 
 
@@ -143,25 +144,20 @@ def test_ricci_derivative_against_finite_differences(bumpy2):
     pts = bumpy2.chart.sample(4, 12)
     mj = bumpy2.metric.jet(pts, 3)
     inv = inverse_metric(mj)
-    cj = christoffel(mj, inv)
-    rd = ricci_data(riemann(cj), inv, cj, with_d1=True)
+    rd = ricci_data(christoffel(mj, inv), inv)
 
     def q_of(ptsq):
         mjq = bumpy2.metric.jet(ptsq, 2)
         invq = inverse_metric(mjq)
-        cjq = christoffel(mjq, invq)
-        return ricci_data(riemann(cjq), invq).q
+        return ricci_data(christoffel(mjq, invq), invq).q
 
     assert rel_err(rd.q_d1, central_diff(q_of, pts)) < 1e-7
 
 
 def test_ricci_derivative_requires_order_three(bumpy2):
-    pts = bumpy2.chart.sample(2, 13)
-    mj = bumpy2.metric.jet(pts, 2)
-    inv = inverse_metric(mj)
-    cj = christoffel(mj, inv)
+    geo, _ = geometry(bumpy2, 2, 13, order=2)
     with pytest.raises(JetOrderUnsupported):
-        ricci_data(riemann(cj), inv, cj, with_d1=True)
+        RicciOperatorEndoField(2).jet_geo(geo)
 
 
 # ------------------------------------------------------ covariant derivative
@@ -254,17 +250,18 @@ def test_cov_deriv_dispatcher(bumpy2):
 
 def test_point_geometry_caches_computations(bumpy2):
     geo, _ = geometry(bumpy2, 3, 23)
-    assert geo.christoffel is geo.christoffel
-    assert geo.riemann is geo.riemann
     assert geo.ricci is geo.ricci
     assert geo.inv is geo.inv
+    assert geo.gamma is geo.gamma
 
 
 def test_point_geometry_order_gates(bumpy2):
     geo, _ = geometry(bumpy2, 3, 24, order=1)
-    geo.christoffel  # order 1 suffices for the symbols themselves
+    geo.gamma  # order 1 suffices for the symbols themselves
     with pytest.raises(JetOrderUnsupported):
-        geo.riemann
+        geo.riemann_rows()
+    with pytest.raises(JetOrderUnsupported):
+        geo.ricci
     geo2, _ = geometry(bumpy2, 3, 24, order=2)
     assert geo2.ricci.q_d1 is None  # derivative needs order 3
     geo3, _ = geometry(bumpy2, 3, 24, order=3)
@@ -275,8 +272,9 @@ def test_the_inverse_metric_builds_d2_only_at_order_three(bumpy2):
     # d2(g^-1) has one reader, Christoffel's d2, which needs the metric's d3
     geo2, pts = geometry(bumpy2, 3, 25, order=2)
     assert geo2.inv.d1 is not None and geo2.inv.d2 is None
-    assert geo2.christoffel.d1 is not None and geo2.christoffel.d2 is None
+    cj2 = geo2.christoffel_rows(_whole, 2)
+    assert cj2.d1 is not None and cj2.d2 is None
     assert inverse_metric(bumpy2.metric.jet(pts, 2)).d2 is None
     geo3, _ = geometry(bumpy2, 3, 25, order=3)
-    assert geo3.inv.d2 is not None and geo3.christoffel.d2 is not None
+    assert geo3.inv.d2 is not None and geo3.christoffel_rows(_whole, 3).d2 is not None
     assert np.array_equal(geo3.inv.d1, geo2.inv.d1)

@@ -200,7 +200,7 @@ def test_two_point_batches_never_share_an_entry(bumpy2):
     assert a.u is not b.u and a.geo is not b.geo and a.split is not b.split
     alone = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts_b, order=2)
     for got, want in ((b.gamma_tilde, alone.gamma_tilde), (b.u_sharp.d1, alone.u_sharp.d1),
-                      (b.split.phi1_d1, alone.split.phi1_d1), (b.geo.riemann.r, alone.geo.riemann.r)):
+                      (b.split.phi1_d1, alone.split.phi1_d1), (b.geo.riemann_rows(), alone.geo.riemann_rows())):
         assert np.array_equal(got, want)
     assert np.array_equal(r_b, curvature_direct(bumpy2.chart, bumpy2.metric, spec, pts_b))
 
@@ -239,7 +239,7 @@ def test_an_in_place_write_into_a_cached_array_raises(bumpy2):
         frame = evaluate_spec(bumpy2.chart, bumpy2.metric, spec, pts, order=2)
         cached = [
             frame.u.comp, frame.u.d1, frame.f1.value, frame.f1.grad, frame.phi.d1,
-            frame.geo.metric.d2, frame.geo.inv.d1, frame.geo.gamma, frame.geo.riemann.r,
+            frame.geo.metric.d2, frame.geo.inv.d1, frame.geo.gamma, frame.geo.ricci.s,
             frame.split.phi1, frame.split.phi1_d1, frame.u_sharp.comp, frame.u2_sharp.d1,
         ]
         for arr in cached:
